@@ -176,8 +176,7 @@ def optimize_cmd(config_path, trace):
     """Solve the joint power/omission energy minimization."""
     cfg = _load_config(config_path)
     link = resource.LinkModel.from_config(cfg)
-    m = int(cfg.get("m_total", 100))
-    q = [float(v) for v in cfg.get("q", experiments.DEFAULT_Q)]
+    m, q = experiments.omission_config(cfg)
     profile = resource.OmissionProfile(m, q)
     result = optimizer.solve(link, profile, m, keep_trace=trace)
     out = {

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .errors import (CorruptMessageError, IncompatibleKnowledgeError,
-                     MessageDecodeError, SemcompError,
-                     UndefinedProbabilityError, ValidationError)
+                     MessageDecodeError, SemcompError, ValidationError)
 from .kg import KnowledgeGraph, Triple
 from .probgraph import ProbabilityGraph
 
@@ -116,8 +115,7 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
     round1_omitted = 0
     still: List[Triple] = []
     for t in candidates:
-        quad = g.pair(t.head, t.tail)
-        counts = [(rid, len(s)) for rid, s in quad.relations]
+        counts, _ = g.relation_counts(t.head, t.tail)
         report.comparison_count += len(counts)
         if _unique_max_relation(counts) == t.relation:
             omitted.append(t)
@@ -138,21 +136,13 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
             cycle_omitted = 0
             still = []
             for t in candidates:
-                quad = g.pair(t.head, t.tail)
-                rel_supports = [(rid, set(s)) for rid, s in quad.relations]
-                union = set(quad.union_support())
                 chosen = None
                 for combo in itertools.combinations(range(snapshot_size), width):
-                    cond = None
-                    for idx in combo:
-                        c_triple = omitted[idx]
-                        c_support = set(g.pair(c_triple.head, c_triple.tail)
-                                        .support(c_triple.relation))
-                        cond = c_support if cond is None else cond & c_support
-                    report.comparison_count += len(rel_supports)
-                    if not cond & union:
+                    counts, denom = g.relation_counts(
+                        t.head, t.tail, [omitted[idx] for idx in combo])
+                    report.comparison_count += len(counts)
+                    if denom == 0:
                         continue  # undefined row: condition unusable
-                    counts = [(rid, len(cond & s)) for rid, s in rel_supports]
                     if _unique_max_relation(counts) == t.relation:
                         chosen = combo
                         break
@@ -194,22 +184,13 @@ def decompress(g: ProbabilityGraph, msg: CompressedMessage) -> KnowledgeGraph:
         if any(not 0 <= c < limit for c in rec.conditions):
             raise CorruptMessageError(
                 "condition index beyond reconstructable prefix")
-        given = [recon[c] for c in rec.conditions]
         try:
-            quad = g.pair(rec.head, rec.tail)
-            if given:
-                cond = None
-                for c_triple in given:
-                    c_support = set(g.pair(c_triple.head, c_triple.tail)
-                                    .support(c_triple.relation))
-                    cond = c_support if cond is None else cond & c_support
-                if not cond & set(quad.union_support()):
-                    raise UndefinedProbabilityError("empty conditioning event")
-                counts = [(rid, len(cond & set(s))) for rid, s in quad.relations]
-            else:
-                counts = [(rid, len(s)) for rid, s in quad.relations]
+            counts, denom = g.relation_counts(
+                rec.head, rec.tail, [recon[c] for c in rec.conditions])
         except SemcompError as exc:
             raise CorruptMessageError(str(exc)) from exc
+        if denom == 0:
+            raise CorruptMessageError("empty conditioning event")
         rid = _unique_max_relation(counts)
         if rid is None:
             raise CorruptMessageError(

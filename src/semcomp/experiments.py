@@ -9,10 +9,11 @@ from typing import Dict, List, Optional, Sequence
 from .errors import ValidationError
 from .optimizer import (AllocationResult, solve, solve_simplified,
                         solve_traditional)
-from .resource import LinkModel, OmissionProfile
+from .resource import LinkModel, OmissionProfile, config_value
 
 ALGORITHMS = ("jccpg", "simplified", "traditional")
 DEFAULT_Q = (0.3, 0.2, 0.1)
+DEFAULT_M_TOTAL = 100
 SWEEP_VARIABLES = ("m_total", "bandwidth", "latency_budget")
 CSV_HEADER = ("var", "algo", "e_total_j", "e1_j", "e2_j", "p_w", "e_omit",
               "feasible")
@@ -24,9 +25,8 @@ class SweepSpec:
     grid: Sequence[float]
     link: LinkModel = field(default_factory=LinkModel)
     q: Sequence[float] = DEFAULT_Q
-    m_total: int = 100
+    m_total: int = DEFAULT_M_TOTAL
     algorithms: Sequence[str] = ALGORITHMS
-    seed: int = 0
 
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
@@ -110,16 +110,16 @@ def emit_plotdata(rows: List[SweepRow], path):
         fh.write("\n")
 
 
+def omission_config(cfg: dict):
+    """(m_total, q) from a flat config; absent keys take the defaults."""
+    return (config_value(cfg, "m_total", int, DEFAULT_M_TOTAL),
+            config_value(cfg, "q", lambda q: [float(v) for v in q], DEFAULT_Q))
+
+
 def spec_from_config(cfg: dict, variable: str, grid: Sequence[float],
                      algorithms: Optional[Sequence[str]] = None) -> SweepSpec:
     link = LinkModel.from_config(cfg)
-    kwargs = {}
-    if "q" in cfg:
-        kwargs["q"] = [float(v) for v in cfg["q"]]
-    if "m_total" in cfg:
-        kwargs["m_total"] = int(cfg["m_total"])
-    if algorithms:
-        kwargs["algorithms"] = tuple(algorithms)
-    if "seed" in cfg:
-        kwargs["seed"] = int(cfg["seed"])
-    return SweepSpec(variable=variable, grid=list(grid), link=link, **kwargs)
+    m_total, q = omission_config(cfg)
+    return SweepSpec(variable=variable, grid=list(grid), link=link, q=q,
+                     m_total=m_total,
+                     algorithms=tuple(algorithms) if algorithms else ALGORITHMS)

@@ -187,7 +187,10 @@ def load_corpus_lines(lines) -> Corpus:
 
 def load_corpus(path) -> Corpus:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_corpus_lines(fh)
+        try:
+            return load_corpus_lines(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError("%s is not UTF-8 text: %s" % (path, exc)) from exc
 
 
 def dump_corpus_lines(corpus: Corpus):

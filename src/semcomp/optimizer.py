@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .errors import ValidationError
-from .resource import LinkModel, OmissionProfile, comm_latency, comp_latency
+from .resource import (LinkModel, OmissionProfile, comm_latency, comp_latency,
+                       energies, payload_bits)
 
 
 @dataclass
@@ -63,13 +64,11 @@ def _solve_range(link: LinkModel, profile: OmissionProfile, m: int,
         t_remaining = link.latency_budget_s - t2
         if not math.isfinite(t2) or t_remaining <= 0:
             continue
-        bits = link.bits_per_field * (3 * m - e)
-        p = power_for_latency(link, bits, t_remaining)
+        p = power_for_latency(link, payload_bits(link, m, e), t_remaining)
         if p > link.p_max_w:
             continue
         t1 = comm_latency(link, m, e, p)
-        e1 = t1 * p
-        e2 = link.tau1 * link.tau2 * profile.load(e) * link.compute_capacity ** 2
+        e1, e2 = energies(link, profile, m, e, p)
         total = e1 + e2
         if keep_trace:
             trace.append((e, p, total))

@@ -31,18 +31,15 @@ class Quadruple:
         for rid, samples in self.relations:
             if rid == relation:
                 return samples
-        raise RelationNotFoundError(
-            "relation %d not present on pair (%d, %d)"
-            % (relation, self.head, self.tail))
+        raise _missing_relation(self.head, relation, self.tail)
 
     def relation_ids(self):
         return [rid for rid, _ in self.relations]
 
-    def union_support(self) -> Tuple[int, ...]:
-        members = set()
-        for _, samples in self.relations:
-            members.update(samples)
-        return tuple(sorted(members))
+
+def _missing_relation(head, relation, tail) -> RelationNotFoundError:
+    return RelationNotFoundError(
+        "relation %d not present on pair (%d, %d)" % (relation, head, tail))
 
 
 class ProbabilityGraph:
@@ -55,6 +52,9 @@ class ProbabilityGraph:
         self.entities = entities
         self.relations = relations
         self._hash: Optional[bytes] = None
+        # (head, tail) -> ({relation: support bitset}, union bitset), built on
+        # the pair's first conditioned query; bit i set <=> sample i supports.
+        self._bits: Dict[Tuple[int, int], Tuple[Dict[int, int], int]] = {}
 
     @property
     def n_pairs(self) -> int:
@@ -65,9 +65,6 @@ class ProbabilityGraph:
         if quad is None:
             raise PairNotFoundError("no quadruple for pair (%d, %d)" % (head, tail))
         return quad
-
-    def has_pair(self, head: int, tail: int) -> bool:
-        return (head, tail) in self.quadruples
 
     def has_triple(self, triple: Triple) -> bool:
         quad = self.quadruples.get((triple.head, triple.tail))
@@ -81,11 +78,50 @@ class ProbabilityGraph:
 
     # -- probability queries ------------------------------------------------
 
+    def _pair_bits(self, head: int, tail: int) -> Tuple[Dict[int, int], int]:
+        bits = self._bits.get((head, tail))
+        if bits is None:
+            rel_bits = {}
+            union = 0
+            for rid, samples in self.pair(head, tail).relations:
+                rel_bits[rid] = sum(1 << sid for sid in samples)
+                union |= rel_bits[rid]
+            bits = self._bits[(head, tail)] = (rel_bits, union)
+        return bits
+
+    def relation_counts(self, head: int, tail: int, given=()
+                        ) -> Tuple[List[Tuple[int, int]], int]:
+        """Integer count per relation on the pair, and the denominator.
+
+        This is the one conditioning rule: the sender's omissions, the
+        receiver's reconstruction and the probability queries all read it.
+        Returns ([(relation id, count), ...] in relation order, denominator).
+        With empty `given` each count is |N_r| and the denominator is their
+        sum.  Otherwise the conditioning event is the intersection of the
+        supports of the `given` triples, each count is |N_r & event| and the
+        denominator is |event & union of the pair's supports|; 0 means the
+        condition is unusable.  Raises PairNotFoundError or
+        RelationNotFoundError for a pair or triple absent from the graph.
+        """
+        if not given:
+            counts, total = [], 0
+            for rid, samples in self.pair(head, tail).relations:
+                counts.append((rid, len(samples)))
+                total += len(samples)
+            return counts, total
+        rel_bits, event = self._pair_bits(head, tail)
+        for g_triple in given:
+            g_bits = self._pair_bits(g_triple.head, g_triple.tail)[0].get(
+                g_triple.relation)
+            if g_bits is None:
+                raise _missing_relation(*g_triple)
+            event &= g_bits
+        return ([(rid, (event & b).bit_count()) for rid, b in rel_bits.items()],
+                event.bit_count())
+
     def prob(self, head: int, relation: int, tail: int) -> Fraction:
         """Unconditional relation probability |N_r| / sum over the pair."""
-        quad = self.pair(head, tail)
-        total = sum(len(s) for _, s in quad.relations)
-        return Fraction(len(quad.support(relation)), total)
+        return self.cond_prob(Triple(head, relation, tail), ())
 
     def cond_prob(self, target: Triple, given) -> Fraction:
         """Probability of the target relation given a set of known triples.
@@ -95,28 +131,18 @@ class ProbabilityGraph:
         probability.  Raises UndefinedProbabilityError when no conditioning
         sample touches any relation on the target pair.
         """
-        given = list(given)
-        if not given:
-            return self.prob(target.head, target.relation, target.tail)
-        quad = self.pair(target.head, target.tail)
-        target_support = set(quad.support(target.relation))
-
-        cond = None
-        for g_triple in given:
-            g_support = set(self.pair(g_triple.head, g_triple.tail)
-                            .support(g_triple.relation))
-            cond = g_support if cond is None else cond & g_support
-
-        denom = len(cond & set(quad.union_support()))
+        # The target triple is checked before any condition is read.
+        self.pair(target.head, target.tail).support(target.relation)
+        counts, denom = self.relation_counts(target.head, target.tail,
+                                             list(given))
         if denom == 0:
             raise UndefinedProbabilityError(
                 "no sample satisfies the conditions and the target pair")
-        return Fraction(len(target_support & cond), denom)
+        return Fraction(dict(counts)[target.relation], denom)
 
     def relation_distribution(self, head: int, tail: int) -> List[Tuple[int, Fraction]]:
-        quad = self.pair(head, tail)
-        total = sum(len(s) for _, s in quad.relations)
-        return [(rid, Fraction(len(s), total)) for rid, s in quad.relations]
+        counts, total = self.relation_counts(head, tail)
+        return [(rid, Fraction(c, total)) for rid, c in counts]
 
     # -- serialization ------------------------------------------------------
 
@@ -198,6 +224,8 @@ class ProbabilityGraph:
                     (delta,) = struct.unpack("<I", take(4))
                     prev += delta
                     samples.append(prev)
+                if prev > n_samples:  # also bounds the width of its bitset
+                    raise GraphDecodeError("sample id beyond the sample count")
                 rels.append((rid, tuple(samples)))
             quadruples[(head, tail)] = Quadruple(head, tail, tuple(rels))
         if pos != len(view):

@@ -40,21 +40,37 @@ class LinkModel:
     @classmethod
     def from_config(cls, cfg: dict) -> "LinkModel":
         """Build from a flat config dict, converting MHz/dBm/ms to SI."""
-        kwargs = {}
-        if "bandwidth_mhz" in cfg:
-            kwargs["bandwidth_hz"] = float(cfg["bandwidth_mhz"]) * 1e6
-        if "p_max_dbm" in cfg:
-            kwargs["p_max_w"] = dbm_to_watts(float(cfg["p_max_dbm"]))
-        if "latency_budget_ms" in cfg:
-            kwargs["latency_budget_s"] = float(cfg["latency_budget_ms"]) * 1e-3
-        direct = {"noise_w": "noise_power_w", "path_gain": "path_gain",
-                  "bits_per_field": "bits_per_field", "f_hz": "compute_capacity",
-                  "tau1": "tau1", "tau2": "tau2"}
-        for key, attr in direct.items():
-            if key in cfg:
-                value = cfg[key]
-                kwargs[attr] = int(value) if attr == "bits_per_field" else float(value)
-        return cls(**kwargs)
+        return cls(**{attr: config_value(cfg, key, convert)
+                      for key, (attr, convert) in _LINK_KEYS.items()
+                      if key in cfg})
+
+
+# config key -> (LinkModel field, conversion to SI)
+_LINK_KEYS = {
+    "bandwidth_mhz": ("bandwidth_hz", lambda v: float(v) * 1e6),
+    "p_max_dbm": ("p_max_w", lambda v: dbm_to_watts(float(v))),
+    "latency_budget_ms": ("latency_budget_s", lambda v: float(v) * 1e-3),
+    "noise_w": ("noise_power_w", float),
+    "path_gain": ("path_gain", float),
+    "bits_per_field": ("bits_per_field", int),
+    "f_hz": ("compute_capacity", float),
+    "tau1": ("tau1", float),
+    "tau2": ("tau2", float),
+}
+
+
+def config_value(cfg: dict, key: str, convert, default=None):
+    """`convert(cfg[key])`, or `default` when the key is absent.
+
+    A value `convert` rejects raises ValidationError naming the key.
+    """
+    if key not in cfg:
+        return default
+    try:
+        return convert(cfg[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError("config key %r: bad value %r (%s)"
+                              % (key, cfg[key], exc)) from exc
 
 
 def _to_fraction(value) -> Fraction:

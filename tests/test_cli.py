@@ -137,3 +137,29 @@ def test_io_error_exit_code(runner, workspace, tmp_path):
                                "--input", str(workspace / "message.jsonl"),
                                "--out", str(tmp_path / "no" / "dir" / "x.scmp")])
     assert out.exit_code == 4
+
+
+@pytest.mark.parametrize("command,replace", [
+    ("optimize", ("bandwidth_mhz: 10", "bandwidth_mhz: abc")),
+    ("optimize", ("q: [0.3, 0.2, 0.1]", "q: 0.3")),
+    ("sweep", ("q: [0.3, 0.2, 0.1]", "q: 0.3")),
+])
+def test_bad_config_value_exit_code(runner, tmp_path, command, replace):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(CONFIG.replace(*replace))
+    args = [command, "--config", str(cfg)]
+    if command == "sweep":
+        args += ["--grid", "50,100", "--csv", str(tmp_path / "s.csv")]
+    out = runner.invoke(main, args)
+    assert out.exit_code == 2
+    assert "Traceback" not in out.output
+    assert replace[1].split(":")[0] in out.output
+
+
+def test_non_utf8_corpus_exit_code(runner, tmp_path):
+    bad = tmp_path / "latin1.jsonl"
+    bad.write_bytes(json.dumps(CORPUS_LINES[0]).encode() + b"\n\xff\xfe\n")
+    out = runner.invoke(main, ["build-graph", "--corpus", str(bad),
+                               "--out", str(tmp_path / "g.spgr")])
+    assert out.exit_code == 2
+    assert "Traceback" not in out.output

@@ -1,5 +1,6 @@
 import itertools
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,13 @@ class TestSerialization:
             corrupted[pos] ^= 0xFF
             with pytest.raises(GraphDecodeError):
                 ProbabilityGraph.from_bytes(bytes(corrupted))
+
+    def test_sample_id_beyond_count_rejected(self):
+        corpus = corpus_from_samples([[("a", "r", "b")], [("a", "r", "b")]])
+        data = bytearray(build(corpus).to_bytes())
+        data[6:10] = struct.pack("<I", 1)  # N, outside the hashed body
+        with pytest.raises(GraphDecodeError):
+            ProbabilityGraph.from_bytes(bytes(data))
 
     def test_file_roundtrip(self, tmp_path, rng):
         corpus = random_corpus(rng, n_samples=4)
