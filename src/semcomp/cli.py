@@ -121,6 +121,7 @@ def compress_cmd(graph_path, input_path, max_round, out_path, report_path):
             json.dump({
                 "stages": [dataclasses.asdict(s) for s in report.stages],
                 "comparison_count": report.comparison_count,
+                "combinations_evaluated": report.combinations_evaluated,
                 "observed_ratios": report.observed_ratios(),
             }, fh, indent=2)
             fh.write("\n")
@@ -216,8 +217,7 @@ def sweep_cmd(config_path, variable, grid, csv_path, plot_path):
         values = [float(v) for v in grid.split(",") if v.strip()]
     except ValueError:
         _fail(EXIT_VALIDATION, "grid must be comma-separated numbers")
-    spec = experiments.spec_from_config(cfg, variable, values,
-                                        algorithms=cfg.get("algorithms"))
+    spec = experiments.spec_from_config(cfg, variable, values)
     rows = experiments.run_sweep(spec)
     experiments.emit_csv(rows, csv_path)
     if plot_path:

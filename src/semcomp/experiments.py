@@ -4,7 +4,7 @@ import csv
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .errors import ValidationError
 from .optimizer import (AllocationResult, solve, solve_simplified,
@@ -116,10 +116,17 @@ def omission_config(cfg: dict):
             config_value(cfg, "q", lambda q: [float(v) for v in q], DEFAULT_Q))
 
 
-def spec_from_config(cfg: dict, variable: str, grid: Sequence[float],
-                     algorithms: Optional[Sequence[str]] = None) -> SweepSpec:
+def _algorithm_names(value) -> tuple:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise TypeError("expected a list of algorithm names")
+    return tuple(value) or ALGORITHMS
+
+
+def spec_from_config(cfg: dict, variable: str,
+                     grid: Sequence[float]) -> SweepSpec:
     link = LinkModel.from_config(cfg)
     m_total, q = omission_config(cfg)
     return SweepSpec(variable=variable, grid=list(grid), link=link, q=q,
                      m_total=m_total,
-                     algorithms=tuple(algorithms) if algorithms else ALGORITHMS)
+                     algorithms=config_value(cfg, "algorithms",
+                                             _algorithm_names, ALGORITHMS))

@@ -53,7 +53,7 @@ class ProbabilityGraph:
         self.relations = relations
         self._hash: Optional[bytes] = None
         # (head, tail) -> ({relation: support bitset}, union bitset), built on
-        # the pair's first conditioned query; bit i set <=> sample i supports.
+        # the pair's first `pair_bits` call; bit i set <=> sample i supports.
         self._bits: Dict[Tuple[int, int], Tuple[Dict[int, int], int]] = {}
 
     @property
@@ -78,7 +78,12 @@ class ProbabilityGraph:
 
     # -- probability queries ------------------------------------------------
 
-    def _pair_bits(self, head: int, tail: int) -> Tuple[Dict[int, int], int]:
+    def pair_bits(self, head: int, tail: int) -> Tuple[Dict[int, int], int]:
+        """({relation: support bitset}, union bitset) for one pair.
+
+        Bit i is set when sample i supports the relation.  Built on the
+        pair's first call and cached on the graph.  Raises PairNotFoundError.
+        """
         bits = self._bits.get((head, tail))
         if bits is None:
             rel_bits = {}
@@ -109,9 +114,9 @@ class ProbabilityGraph:
                 counts.append((rid, len(samples)))
                 total += len(samples)
             return counts, total
-        rel_bits, event = self._pair_bits(head, tail)
+        rel_bits, event = self.pair_bits(head, tail)
         for g_triple in given:
-            g_bits = self._pair_bits(g_triple.head, g_triple.tail)[0].get(
+            g_bits = self.pair_bits(g_triple.head, g_triple.tail)[0].get(
                 g_triple.relation)
             if g_bits is None:
                 raise _missing_relation(*g_triple)

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .compressor import DEFAULT_MAX_ROUND, compress
 from .errors import ValidationError
@@ -149,6 +149,11 @@ class OmissionProfile:
             self._anchors.append(value)
             prev_break = self._breaks[n]
 
+        # e -> load(e); the optimizer asks for the same E from both the
+        # latency and the energy formula, and each exact evaluation costs
+        # Fraction arithmetic.
+        self._loads: Dict[float, float] = {}
+
     @property
     def m_total(self) -> float:
         return float(self._m)
@@ -189,14 +194,22 @@ class OmissionProfile:
         raise AssertionError("unreachable")
 
     def load(self, e: float) -> float:
-        """Float view of load_exact; inf beyond the last breakpoint."""
-        if e < 0:
-            raise ValidationError("omission count must be non-negative")
-        if e == 0:
-            return 0.0
-        if not self._breaks or _to_fraction(e) > self._breaks[-1]:
-            return math.inf
-        return float(self.load_exact(e))
+        """Float view of load_exact; inf beyond the last breakpoint.
+
+        Memoized per `e` on the profile, which is immutable after __init__.
+        """
+        value = self._loads.get(e)
+        if value is None:
+            if e < 0:
+                raise ValidationError("omission count must be non-negative")
+            if e == 0:
+                value = 0.0
+            elif not self._breaks or _to_fraction(e) > self._breaks[-1]:
+                value = math.inf
+            else:
+                value = float(self.load_exact(e))
+            self._loads[e] = value
+        return value
 
 
 def comp_latency(link: LinkModel, profile: OmissionProfile, e: float) -> float:

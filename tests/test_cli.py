@@ -62,6 +62,7 @@ def test_full_pipeline(runner, workspace):
     assert out.exit_code == 0, out.output
     doc = json.loads(report.read_text())
     assert doc["comparison_count"] > 0
+    assert 0 <= doc["combinations_evaluated"] <= doc["comparison_count"]
     assert doc["stages"][0]["round"] == 1
 
     restored = workspace / "restored.jsonl"
@@ -154,6 +155,18 @@ def test_bad_config_value_exit_code(runner, tmp_path, command, replace):
     assert out.exit_code == 2
     assert "Traceback" not in out.output
     assert replace[1].split(":")[0] in out.output
+
+
+@pytest.mark.parametrize("value", ["5", "jccpg"])
+def test_scalar_algorithms_exit_code(runner, tmp_path, value):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(CONFIG + "algorithms: %s\n" % value)
+    out = runner.invoke(main, ["sweep", "--config", str(cfg),
+                               "--grid", "50,100",
+                               "--csv", str(tmp_path / "s.csv")])
+    assert out.exit_code == 2
+    assert "Traceback" not in out.output
+    assert "algorithms" in out.output
 
 
 def test_non_utf8_corpus_exit_code(runner, tmp_path):

@@ -1,11 +1,12 @@
 import json
+import math
 
 import pytest
 
 from semcomp.errors import ValidationError
 from semcomp.experiments import (CSV_HEADER, SweepSpec, emit_csv,
                                  emit_plotdata, run_sweep, spec_from_config)
-from semcomp.resource import LinkModel
+from semcomp.resource import LinkModel, OmissionProfile
 
 
 @pytest.fixture
@@ -107,3 +108,36 @@ def test_spec_from_config_units():
     assert spec.link.p_max_w == pytest.approx(0.1)
     assert spec.q == [0.5]
     assert spec.m_total == 42
+
+
+def _unmemoized_load(profile, e):
+    """OmissionProfile.load as it was before the per-E memo."""
+    if e < 0:
+        raise ValidationError("omission count must be non-negative")
+    if e == 0:
+        return 0.0
+    try:
+        return float(profile.load_exact(e))
+    except ValidationError:  # beyond the last breakpoint
+        return math.inf
+
+
+def test_memoized_load_keeps_sweep_output(tmp_path, monkeypatch):
+    # A regime where compression pays, so every row has omissions to price.
+    spec = SweepSpec(variable="m_total",
+                     grid=[20 * (i + 1) for i in range(20)],
+                     link=LinkModel(path_gain=1e-8, tau1=100.0, tau2=1e-30),
+                     q=[0.4, 0.2])
+
+    def run(name):
+        rows = run_sweep(spec)
+        emit_csv(rows, tmp_path / name)
+        return rows, (tmp_path / name).read_text()
+
+    rows, csv_text = run("memo.csv")
+    monkeypatch.setattr(OmissionProfile, "load", _unmemoized_load)
+    ref_rows, ref_csv_text = run("reference.csv")
+    assert ([repr(r.results) for r in rows]
+            == [repr(r.results) for r in ref_rows])
+    assert csv_text == ref_csv_text
+    assert all(r.results["jccpg"].e_opt > 0 for r in rows)

@@ -200,3 +200,20 @@ def test_power_for_latency_inverts_capacity():
     link = LinkModel()
     p = power_for_latency(link, 7200.0, 1e-3)
     assert comm_latency(link, 100, 0, p) == pytest.approx(1e-3, rel=1e-12)
+
+
+def test_solve_evaluates_each_load_once(monkeypatch):
+    """comp_latency and energies share one load evaluation per E."""
+    link = LinkModel(path_gain=1e-8, tau1=100.0, tau2=1e-30)
+    profile = OmissionProfile(100, [0.4, 0.2])
+    evaluated = []
+    load_exact = OmissionProfile.load_exact
+
+    def counting(self, e):
+        evaluated.append(e)
+        return load_exact(self, e)
+
+    monkeypatch.setattr(OmissionProfile, "load_exact", counting)
+    result = solve(link, profile, 100)
+    assert result.feasible and result.e_opt > 0
+    assert evaluated and len(evaluated) == len(set(evaluated))
