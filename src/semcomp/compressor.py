@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 from .errors import (CorruptMessageError, IncompatibleKnowledgeError,
                      MessageDecodeError, SemcompError, ValidationError)
 from .kg import KnowledgeGraph, Triple
-from .probgraph import ProbabilityGraph
+from .probgraph import ProbabilityGraph, unique_max_relation
 
 WIRE_MAGIC = b"SCMP"
 WIRE_VERSION = 1
@@ -90,17 +90,6 @@ class CompressionReport:
         return sum(s.omitted for s in self.stages)
 
 
-def _unique_max_relation(counts) -> Optional[int]:
-    """Relation id with the strictly largest count, or None on a tie."""
-    best_rid, best, tie = None, -1, False
-    for rid, count in counts:
-        if count > best:
-            best_rid, best, tie = rid, count, False
-        elif count == best:
-            tie = True
-    return None if tie else best_rid
-
-
 def _first_condition(g: ProbabilityGraph, t: Triple, cond: List[int],
                      width: int, report: CompressionReport
                      ) -> Optional[Tuple[int, ...]]:
@@ -134,7 +123,7 @@ def _first_condition(g: ProbabilityGraph, t: Triple, cond: List[int],
             for i in range(start, n):
                 event = prefix & cond[i]
                 evaluated += 1
-                # _unique_max_relation(counts) == t.relation, without building
+                # unique_max_relation(counts) == t.relation, without building
                 # the counts: about half the search time on skewed messages.
                 count = (mine & event).bit_count()
                 if not count:
@@ -190,9 +179,9 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
     round1_omitted = 0
     still: List[Triple] = []
     for t in candidates:
-        counts, _ = g.relation_counts(t.head, t.tail)
-        report.comparison_count += len(counts)
-        if _unique_max_relation(counts) == t.relation:
+        verdict, relations = g.round1_verdict(t.head, t.tail)
+        report.comparison_count += len(relations)
+        if verdict == t.relation:
             omitted.append(t)
             records.append(OmissionRecord(t.head, t.tail, 1))
             round1_omitted += 1
@@ -234,6 +223,7 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
     final_records = [
         OmissionRecord(r.head, r.tail, r.round,
                        conditions=tuple(offset + i for i in r.conditions))
+        if r.conditions else r
         for r in records
     ]
     msg = CompressedMessage(g.content_hash, full, final_records)
@@ -253,13 +243,16 @@ def decompress(g: ProbabilityGraph, msg: CompressedMessage) -> KnowledgeGraph:
             raise CorruptMessageError(
                 "condition index beyond reconstructable prefix")
         try:
-            counts, denom = g.relation_counts(
-                rec.head, rec.tail, [recon[c] for c in rec.conditions])
+            if rec.conditions:
+                counts, denom = g.relation_counts(
+                    rec.head, rec.tail, [recon[c] for c in rec.conditions])
+                rid = unique_max_relation(counts)
+            else:  # every relation on a pair has a sample: denom >= 1
+                rid, denom = g.round1_verdict(rec.head, rec.tail)[0], 1
         except SemcompError as exc:
             raise CorruptMessageError(str(exc)) from exc
         if denom == 0:
             raise CorruptMessageError("empty conditioning event")
-        rid = _unique_max_relation(counts)
         if rid is None:
             raise CorruptMessageError(
                 "ambiguous argmax while reconstructing (%d, %d)"

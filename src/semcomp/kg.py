@@ -104,7 +104,7 @@ class Corpus:
         return sum(len(kg) for kg in self.samples)
 
 
-def _parse_jsonl_line(line, lineno):
+def _parse_jsonl_line(line, lineno, label_ids):
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -119,15 +119,19 @@ def _parse_jsonl_line(line, lineno):
         raise ParseError("'triples' must be a list", line=lineno)
     out = []
     for entry in triples:
-        if (not isinstance(entry, list) or len(entry) != 3
-                or not all(isinstance(x, str) for x in entry)):
+        if not (isinstance(entry, list) and len(entry) == 3
+                and isinstance(entry[0], str) and isinstance(entry[1], str)
+                and isinstance(entry[2], str)):
             raise ParseError("each triple must be [head, relation, tail] strings",
                              line=lineno)
-        out.append(tuple(entry))
+        h, r, t = entry
+        out.append((label_ids.setdefault(h, len(label_ids)),
+                    label_ids.setdefault(r, len(label_ids)),
+                    label_ids.setdefault(t, len(label_ids))))
     return sample_id, out
 
 
-def _parse_tsv_line(line, lineno):
+def _parse_tsv_line(line, lineno, label_ids):
     parts = line.split("\t")
     if len(parts) != 4:
         raise ParseError("expected sample<TAB>head<TAB>relation<TAB>tail",
@@ -138,13 +142,17 @@ def _parse_tsv_line(line, lineno):
         raise ParseError("sample id must be an integer", line=lineno) from exc
     if sample_id < 1:
         raise ParseError("sample id must be positive", line=lineno)
-    return sample_id, [(parts[1], parts[2], parts[3])]
+    return sample_id, [tuple(label_ids.setdefault(x, len(label_ids))
+                             for x in parts[1:])]
 
 
 def load_corpus_lines(lines) -> Corpus:
     """Build a Corpus from JSONL or TSV lines (format sniffed per file)."""
-    raw = {}  # sample id -> list of (h, r, t) label triples
-    order = []  # sample ids in first-seen order, for duplicate detection
+    # Each distinct label string, as written, gets one provisional id on
+    # first sight, so the whole file is held as small tuples of shared ids
+    # rather than one string per label occurrence.
+    label_ids = {}
+    raw = {}  # sample id -> list of (h, r, t) provisional ids
     fmt = None
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
@@ -156,13 +164,12 @@ def load_corpus_lines(lines) -> Corpus:
         elif fmt != line_fmt:
             raise ParseError("mixed JSONL and TSV lines", line=lineno)
         if fmt == "jsonl":
-            sample_id, triples = _parse_jsonl_line(line, lineno)
+            sample_id, triples = _parse_jsonl_line(line, lineno, label_ids)
             if sample_id in raw:
                 raise ValidationError("duplicate sample id %d" % sample_id)
             raw[sample_id] = triples
-            order.append(sample_id)
         else:
-            sample_id, triples = _parse_tsv_line(line, lineno)
+            sample_id, triples = _parse_tsv_line(line, lineno, label_ids)
             raw.setdefault(sample_id, []).extend(triples)
 
     if not raw:
@@ -173,14 +180,28 @@ def load_corpus_lines(lines) -> Corpus:
         raise ValidationError("gap in sample ids: missing %s" % missing)
 
     corpus = Corpus()
+    entities, relations = corpus.entities, corpus.relations
+    labels = list(label_ids)  # provisional id -> label
+    entity_of = [None] * len(labels)  # provisional id -> entity id, once seen
+    relation_of = [None] * len(labels)
+    triple_of = {}  # provisional (h, r, t) -> its Triple, shared by samples
     # Interning follows sample-id order so the assignment is reproducible
     # regardless of how the file orders its lines.
     for sample_id in range(1, n + 1):
         triples = []
-        for h, r, t in raw[sample_id]:
-            triples.append(Triple(corpus.entities.intern(h),
-                                  corpus.relations.intern(r),
-                                  corpus.entities.intern(t)))
+        for key in raw[sample_id]:
+            triple = triple_of.get(key)
+            if triple is None:
+                h, r, t = key
+                if entity_of[h] is None:
+                    entity_of[h] = entities.intern(labels[h])
+                if relation_of[r] is None:
+                    relation_of[r] = relations.intern(labels[r])
+                if entity_of[t] is None:
+                    entity_of[t] = entities.intern(labels[t])
+                triple = triple_of[key] = Triple(entity_of[h], relation_of[r],
+                                                 entity_of[t])
+            triples.append(triple)
         corpus.samples.append(KnowledgeGraph(triples, sample_id=sample_id))
     return corpus
 

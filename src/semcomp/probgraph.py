@@ -33,8 +33,16 @@ class Quadruple:
                 return samples
         raise _missing_relation(self.head, relation, self.tail)
 
-    def relation_ids(self):
-        return [rid for rid, _ in self.relations]
+
+def unique_max_relation(counts) -> Optional[int]:
+    """Relation id with the strictly largest count, or None on a tie."""
+    best_rid, best, tie = None, -1, False
+    for rid, count in counts:
+        if count > best:
+            best_rid, best, tie = rid, count, False
+        elif count == best:
+            tie = True
+    return None if tie else best_rid
 
 
 def _missing_relation(head, relation, tail) -> RelationNotFoundError:
@@ -55,6 +63,10 @@ class ProbabilityGraph:
         # (head, tail) -> ({relation: support bitset}, union bitset), built on
         # the pair's first `pair_bits` call; bit i set <=> sample i supports.
         self._bits: Dict[Tuple[int, int], Tuple[Dict[int, int], int]] = {}
+        # (head, tail) -> (round-1 verdict, relation ids), filled on the
+        # pair's first `round1_verdict` call.
+        self._verdicts: Dict[Tuple[int, int],
+                             Tuple[Optional[int], Tuple[int, ...]]] = {}
 
     @property
     def n_pairs(self) -> int:
@@ -67,8 +79,9 @@ class ProbabilityGraph:
         return quad
 
     def has_triple(self, triple: Triple) -> bool:
-        quad = self.quadruples.get((triple.head, triple.tail))
-        return quad is not None and triple.relation in quad.relation_ids()
+        pair = (triple.head, triple.tail)
+        return (pair in self.quadruples
+                and triple.relation in self.round1_verdict(*pair)[1])
 
     @property
     def content_hash(self) -> bytes:
@@ -124,6 +137,23 @@ class ProbabilityGraph:
         return ([(rid, (event & b).bit_count()) for rid, b in rel_bits.items()],
                 event.bit_count())
 
+    def round1_verdict(self, head: int, tail: int
+                       ) -> Tuple[Optional[int], Tuple[int, ...]]:
+        """(unconditional verdict, relation ids in relation order) for a pair.
+
+        The verdict is the relation with the strictly largest unconditional
+        count, or None on a tie: the relation a round-1 omission stands for.
+        It depends on the pair alone, so it is computed from
+        `relation_counts` on the pair's first call and cached on the graph.
+        Raises PairNotFoundError.
+        """
+        entry = self._verdicts.get((head, tail))
+        if entry is None:
+            counts, _ = self.relation_counts(head, tail)
+            entry = self._verdicts[(head, tail)] = (
+                unique_max_relation(counts), tuple(rid for rid, _ in counts))
+        return entry
+
     def prob(self, head: int, relation: int, tail: int) -> Fraction:
         """Unconditional relation probability |N_r| / sum over the pair."""
         return self.cond_prob(Triple(head, relation, tail), ())
@@ -177,9 +207,12 @@ class ProbabilityGraph:
 
     def to_bytes(self) -> bytes:
         body = self._body_bytes()
+        digest = hashlib.sha256(body).digest()
+        if self._hash is None:  # saves `content_hash` a second serialization
+            self._hash = digest
         header = FORMAT_MAGIC + struct.pack(
             "<HII", FORMAT_VERSION, self.n_samples, len(self.quadruples))
-        return header + hashlib.sha256(body).digest() + body
+        return header + digest + body
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProbabilityGraph":
@@ -229,6 +262,8 @@ class ProbabilityGraph:
                     (delta,) = struct.unpack("<I", take(4))
                     prev += delta
                     samples.append(prev)
+                if not samples:  # round-1 verdicts assume a nonzero total
+                    raise GraphDecodeError("relation without a sample")
                 if prev > n_samples:  # also bounds the width of its bitset
                     raise GraphDecodeError("sample id beyond the sample count")
                 rels.append((rid, tuple(samples)))

@@ -5,10 +5,11 @@ dBm / MHz / ms and are converted once at the boundary (`LinkModel.from_config`).
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .compressor import DEFAULT_MAX_ROUND, compress
 from .errors import ValidationError
@@ -139,20 +140,33 @@ class OmissionProfile:
             acc += cap
             self._breaks.append(acc)
 
-        # load value at each breakpoint, anchored cumulatively
+        # Load value at each breakpoint, anchored cumulatively, and segment n
+        # (breaks[n-1] < e <= breaks[n]) as an integer line
+        # load(e) = (num + e*step) / den.  An integer e lies on segment n
+        # iff floor(breaks[n-1]) < e <= floor(breaks[n]).
         self._anchors: List[Fraction] = []
-        value = Fraction(0)
-        prev_break = Fraction(0)
-        for n, cap in enumerate(self._caps):
-            slope = 1 / self._q[0] if n == 0 else self._caps[n - 1] / self._q[n]
-            value += (self._breaks[n] - prev_break) * slope
+        self._lines: List[Tuple[int, int, int]] = []
+        value = prev_break = Fraction(0)
+        for n, brk in enumerate(self._breaks):
+            slope = self._slope(n)
+            base = value - prev_break * slope
+            den = math.lcm(base.denominator, slope.denominator)
+            self._lines.append((base.numerator * (den // base.denominator),
+                                slope.numerator * (den // slope.denominator),
+                                den))
+            value += (brk - prev_break) * slope
             self._anchors.append(value)
-            prev_break = self._breaks[n]
+            prev_break = brk
+        self._floors = [math.floor(b) for b in self._breaks]
 
         # e -> load(e); the optimizer asks for the same E from both the
         # latency and the energy formula, and each exact evaluation costs
         # Fraction arithmetic.
         self._loads: Dict[float, float] = {}
+
+    def _slope(self, n: int) -> Fraction:
+        """Comparisons per omission on stage n: 1/q_1, then E_{n-1}/q_n."""
+        return 1 / self._q[0] if n == 0 else self._caps[n - 1] / self._q[n]
 
     @property
     def m_total(self) -> float:
@@ -174,22 +188,37 @@ class OmissionProfile:
     def total_omissible(self) -> float:
         return float(self._breaks[-1]) if self._breaks else 0.0
 
+    def _beyond(self, e) -> bool:
+        """Whether e exceeds the reachable total, compared exactly."""
+        if not self._breaks:
+            return True
+        if isinstance(e, int):
+            return e > self._floors[-1]
+        return _to_fraction(e) > self._breaks[-1]
+
     def load_exact(self, e) -> Fraction:
-        """Comparison count for e omissions, as an exact rational."""
-        e = _to_fraction(e)
+        """Comparison count for e omissions, as an exact rational.
+
+        An integer e is read off its segment's integer line: one bisect and
+        one Fraction.  Any other e walks the segments in Fraction arithmetic.
+        """
+        on_line = isinstance(e, int)
+        if not on_line:
+            e = _to_fraction(e)
         if e < 0:
             raise ValidationError("omission count must be non-negative")
         if e == 0:
             return Fraction(0)
-        if not self._breaks or e > self._breaks[-1]:
+        if self._beyond(e):
             raise ValidationError("omission count beyond the reachable total")
+        if on_line:
+            num, step, den = self._lines[bisect_left(self._floors, e)]
+            return Fraction(num + e * step, den)
         prev_break = Fraction(0)
         prev_value = Fraction(0)
         for n, brk in enumerate(self._breaks):
             if e <= brk:
-                slope = (1 / self._q[0] if n == 0
-                         else self._caps[n - 1] / self._q[n])
-                return prev_value + (e - prev_break) * slope
+                return prev_value + (e - prev_break) * self._slope(n)
             prev_break, prev_value = brk, self._anchors[n]
         raise AssertionError("unreachable")
 
@@ -204,7 +233,7 @@ class OmissionProfile:
                 raise ValidationError("omission count must be non-negative")
             if e == 0:
                 value = 0.0
-            elif not self._breaks or _to_fraction(e) > self._breaks[-1]:
+            elif self._beyond(e):
                 value = math.inf
             else:
                 value = float(self.load_exact(e))

@@ -136,6 +136,15 @@ class TestDecompress:
         with pytest.raises(CorruptMessageError):
             decompress(g, msg)
 
+    def test_round1_record_for_unknown_pair_rejected(self, toy):
+        corpus, g = toy
+        a, y = corpus.entities.id_of("a"), corpus.entities.id_of("y")
+        for head, tail in ((a, y), (99, 100)):
+            msg = CompressedMessage(g.content_hash, [],
+                                    [OmissionRecord(head, tail, 1)])
+            with pytest.raises(CorruptMessageError):
+                decompress(g, msg)
+
     def test_forward_condition_rejected(self, toy):
         corpus, g = toy
         t_ab = ids(corpus, "a", "r2", "b")

@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
-from semcomp.errors import ParseError, ValidationError
+import legacy_loader
+from semcomp.errors import ParseError, SemcompError, ValidationError
 from semcomp.kg import (Interner, KnowledgeGraph, Triple, dump_corpus_lines,
                         load_corpus_lines)
 
@@ -129,3 +131,122 @@ class TestLoadCorpus:
 def test_knowledge_graph_rejects_duplicates():
     with pytest.raises(ValidationError):
         KnowledgeGraph([Triple(0, 0, 1), Triple(0, 0, 1)])
+
+
+# -- the label-sharing loader against the reference loader -------------------
+
+def _outcome(load, lines):
+    """Intern tables and per-sample triples, or the error's class and text."""
+    try:
+        corpus = load(lines)
+    except SemcompError as exc:
+        return type(exc), str(exc)
+    return (corpus.entities.labels(), corpus.relations.labels(),
+            [(kg.sample_id, kg.triples) for kg in corpus.samples])
+
+
+def _random_samples(rng):
+    """Label triples with padded, repeated and role-sharing labels."""
+    names = ["a", "b", "é", "x y", "r", "s"]
+
+    def label():
+        name = rng.choice(names)
+        return rng.choice(["", " ", "  "]) + name + rng.choice(["", " ", "\t"])
+
+    samples = []
+    for _ in range(rng.randint(1, 12)):
+        triples = {}
+        for _ in range(rng.randint(1, 8)):
+            triple = (label(), label(), label())
+            # one triple per stripped form: the loader rejects duplicates
+            triples.setdefault(tuple(x.strip() for x in triple), triple)
+        samples.append(list(triples.values()))
+    return samples
+
+
+def _jsonl_lines(rng, samples):
+    lines = [json.dumps({"sample": i, "triples": [list(t) for t in ts]})
+             for i, ts in enumerate(samples, start=1)]
+    rng.shuffle(lines)
+    return lines
+
+
+def _tsv_lines(rng, samples):
+    lines = ["%d\t%s\t%s\t%s" % ((i,) + t)
+             for i, ts in enumerate(samples, start=1) for t in ts
+             if "\t" not in "".join(t)]
+    rng.shuffle(lines)
+    return lines
+
+
+def test_loader_matches_reference_on_valid_corpora():
+    rng = random.Random(11)
+    loaded = 0
+    for _ in range(60):
+        samples = _random_samples(rng)
+        for lines in (_jsonl_lines(rng, samples), _tsv_lines(rng, samples)):
+            expected = _outcome(legacy_loader.load_corpus_lines, lines)
+            assert _outcome(load_corpus_lines, lines) == expected
+            loaded += not isinstance(expected[0], type)
+    assert loaded > 60
+
+
+_MALFORMED = [
+    # empty label, in either format and either role
+    [json.dumps({"sample": 1, "triples": [["a", "r", "b"]]}),
+     json.dumps({"sample": 2, "triples": [["a", " ", "b"]]})],
+    ["1\ta\tr\tb", "2\t\tr\tb"],
+    # gap, duplicate id, empty corpus
+    [json.dumps({"sample": 3, "triples": [["a", "r", "b"]]}),
+     json.dumps({"sample": 1, "triples": [["a", "r", "b"]]})],
+    [json.dumps({"sample": 1, "triples": [["a", "r", "b"]]}),
+     json.dumps({"sample": 1, "triples": [["a", "s", "b"]]})],
+    ["", "  "],
+    # bad lines
+    [json.dumps({"sample": 1, "triples": [["a", "r", "b"]]}), "{not json"],
+    [json.dumps({"sample": 1, "triples": [["a", "r", 5]]})],
+    [json.dumps({"sample": 1, "triples": [["a", "r"]]})],
+    [json.dumps({"sample": 0, "triples": []})],
+    ["1\ta\tr"],
+    ["x\ta\tr\tb"],
+    # mixed formats
+    [json.dumps({"sample": 1, "triples": [["a", "r", "b"]]}), "2\ta\tr\tb"],
+    # precedence: a parse error beats a duplicate id, a gap beats an empty
+    # label, and sample 1's duplicate triple beats sample 2's empty label
+    [json.dumps({"sample": 1, "triples": [["a", "r", "b"]]}),
+     json.dumps({"sample": 1, "triples": [["a", "r", "b"]]}), "{bad"],
+    [json.dumps({"sample": 1, "triples": [["", "r", "b"]]}),
+     json.dumps({"sample": 3, "triples": [["a", "r", "b"]]})],
+    [json.dumps({"sample": 2, "triples": [["", "r", "b"]]}),
+     json.dumps({"sample": 1,
+                 "triples": [["a", "r", "b"], ["a ", "r", "b"]]})],
+]
+
+
+@pytest.mark.parametrize("lines", _MALFORMED)
+def test_loader_malformed_matches_reference(lines):
+    expected = _outcome(legacy_loader.load_corpus_lines, lines)
+    assert isinstance(expected[0], type)  # the case really is malformed
+    assert _outcome(load_corpus_lines, lines) == expected
+
+
+def test_loader_mutated_corpora_match_reference():
+    """Random damage to valid files: same tables, or the same error first."""
+    rng = random.Random(5)
+    damages = [
+        lambda ls: ls + [rng.choice(ls)],                # repeat a line
+        lambda ls: ls[:rng.randrange(len(ls))],          # drop the tail
+        lambda ls: ls + ["{broken"],
+        lambda ls: ls + ["7\ta\tr\tb"],
+        lambda ls: [l.replace('"a"', '" "', 1) for l in ls],
+        lambda ls: [l.replace("\ta\t", "\t\t", 1) for l in ls],
+    ]
+    for _ in range(150):
+        samples = _random_samples(rng)
+        to_lines = rng.choice([_jsonl_lines, _tsv_lines])
+        lines = to_lines(rng, samples) or ["1\ta\tr\tb"]
+        for _ in range(rng.randint(1, 2)):
+            lines = rng.choice(damages)(lines) or lines
+        rng.shuffle(lines)
+        assert (_outcome(load_corpus_lines, lines)
+                == _outcome(legacy_loader.load_corpus_lines, lines))

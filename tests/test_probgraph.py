@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from semcomp import probgraph
 from semcomp.errors import (GraphDecodeError, PairNotFoundError,
                             RelationNotFoundError, UndefinedProbabilityError,
                             ValidationError)
 from semcomp.kg import Corpus, Triple
-from semcomp.probgraph import ProbabilityGraph, build
+from semcomp.probgraph import ProbabilityGraph, Quadruple, build
 
-from conftest import (corpus_from_samples, oracle_cond_prob, oracle_prob,
-                      random_corpus)
+from conftest import (_pair_relations, _samples_with, corpus_from_samples,
+                      oracle_cond_prob, oracle_prob, random_corpus)
 
 
 def ids(corpus, h, r, t):
@@ -191,6 +192,50 @@ class TestDistribution:
             g.relation_distribution(5, 6)
 
 
+class TestRound1Verdict:
+    def test_not_filled_by_build_or_from_bytes(self, rng):
+        g = build(random_corpus(rng, n_samples=6))
+        blob = g.to_bytes()
+        assert g._verdicts == {}
+        assert ProbabilityGraph.from_bytes(blob)._verdicts == {}
+
+    def test_matches_counting_oracle(self, rng):
+        for _ in range(15):
+            corpus = random_corpus(rng, n_samples=rng.randint(1, 12))
+            g = build(corpus)
+            for (h, t) in sorted(g.quadruples):
+                rels = _pair_relations(corpus, h, t)
+                counts = [len(_samples_with(corpus, Triple(h, r, t)))
+                          for r in rels]
+                top = max(counts)
+                expected = (rels[counts.index(top)]
+                            if counts.count(top) == 1 else None)
+                assert g.round1_verdict(h, t) == (expected, tuple(rels))
+                assert g._verdicts[(h, t)] == (expected, tuple(rels))
+            assert len(g._verdicts) == g.n_pairs
+
+    def test_tie_is_none(self):
+        corpus = corpus_from_samples([[("a", "r", "b")], [("a", "s", "b")]])
+        g = build(corpus)
+        head, tail = corpus.entities.id_of("a"), corpus.entities.id_of("b")
+        assert g.round1_verdict(head, tail) == (None, (0, 1))
+
+    def test_unknown_pair(self):
+        g = build(corpus_from_samples([[("a", "r", "b")]]))
+        with pytest.raises(PairNotFoundError):
+            g.round1_verdict(1, 0)
+        assert g._verdicts == {}
+
+    def test_has_triple_absent_pair_or_relation(self):
+        corpus = corpus_from_samples([[("a", "r", "b"), ("b", "s", "a")]])
+        g = build(corpus)
+        assert g.has_triple(ids(corpus, "a", "r", "b"))
+        assert not g.has_triple(ids(corpus, "a", "s", "b"))  # no relation
+        assert not g.has_triple(ids(corpus, "a", "r", "a"))  # no pair
+        assert not g.has_triple(Triple(7, 0, 9))  # ids beyond the tables
+        assert set(g._verdicts) == {(0, 1)}
+
+
 class TestSerialization:
     def test_roundtrip(self, rng):
         corpus = random_corpus(rng, n_samples=8)
@@ -232,6 +277,32 @@ class TestSerialization:
         data[6:10] = struct.pack("<I", 1)  # N, outside the hashed body
         with pytest.raises(GraphDecodeError):
             ProbabilityGraph.from_bytes(bytes(data))
+
+    def test_to_bytes_hashes_once_and_seeds_hash(self, rng, monkeypatch):
+        corpus = random_corpus(rng, n_samples=6)
+        hashed_first = build(corpus)
+        hashed_first.content_hash
+        expected = hashed_first.to_bytes()
+        digests = []
+        sha256 = probgraph.hashlib.sha256
+
+        def counting(data=b""):
+            digests.append(len(data))
+            return sha256(data)
+
+        monkeypatch.setattr(probgraph.hashlib, "sha256", counting)
+        g = build(corpus)
+        assert g.to_bytes() == expected
+        assert g.content_hash == expected[14:46]
+        assert len(digests) == 1
+
+    def test_relation_without_sample_rejected(self):
+        corpus = corpus_from_samples([[("a", "r", "b")]])
+        g = build(corpus)
+        quad = Quadruple(0, 1, ((0, (1,)), (1, ())))
+        crafted = ProbabilityGraph({(0, 1): quad}, 1, g.entities, g.relations)
+        with pytest.raises(GraphDecodeError, match="without a sample"):
+            ProbabilityGraph.from_bytes(crafted.to_bytes())
 
     def test_file_roundtrip(self, tmp_path, rng):
         corpus = random_corpus(rng, n_samples=4)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from semcomp.errors import ValidationError
 from semcomp.probgraph import build
 from semcomp.resource import (LinkModel, OmissionProfile, capacity,
-                              comm_latency, comp_latency, dbm_to_watts,
-                              energies, estimate_q, payload_bits)
+                              _to_fraction, comm_latency, comp_latency,
+                              dbm_to_watts, energies, estimate_q,
+                              payload_bits)
 
 from conftest import corpus_from_samples, random_corpus
 
@@ -123,6 +125,89 @@ class TestOmissionProfile:
             prof = OmissionProfile(m, q)
             expected = m * (1 - math.prod(1 - float(v) for v in q))
             assert sum(prof.e_caps) == pytest.approx(expected)
+
+
+def fraction_walk(m_total, q):
+    """e -> the exact load by the stage-by-stage Fraction walk.
+
+    A copy of `OmissionProfile.load_exact` as it read before integer lines,
+    set-up included, kept as the oracle for them.
+    """
+    m = _to_fraction(m_total)
+    q = [_to_fraction(v) for v in q]
+    caps, remaining = [], m
+    for qn in q:
+        caps.append(remaining * qn)
+        remaining -= caps[-1]
+    breaks, acc = [], Fraction(0)
+    for cap in caps:
+        acc += cap
+        breaks.append(acc)
+    anchors, value, prev_break = [], Fraction(0), Fraction(0)
+    for n, cap in enumerate(caps):
+        slope = 1 / q[0] if n == 0 else caps[n - 1] / q[n]
+        value += (breaks[n] - prev_break) * slope
+        anchors.append(value)
+        prev_break = breaks[n]
+
+    def load_exact(e):
+        e = _to_fraction(e)
+        if e < 0:
+            raise ValidationError("omission count must be non-negative")
+        if e == 0:
+            return Fraction(0)
+        if not breaks or e > breaks[-1]:
+            raise ValidationError("omission count beyond the reachable total")
+        prev_break = Fraction(0)
+        prev_value = Fraction(0)
+        for n, brk in enumerate(breaks):
+            if e <= brk:
+                slope = 1 / q[0] if n == 0 else caps[n - 1] / q[n]
+                return prev_value + (e - prev_break) * slope
+            prev_break, prev_value = brk, anchors[n]
+        raise AssertionError("unreachable")
+    return load_exact
+
+
+def test_integer_lines_match_fraction_walk():
+    rng = random.Random(2024)
+    for case in range(200):
+        q = [max(round(rng.random(), rng.randint(1, 6)), 1e-6)
+             for _ in range(rng.randint(1, 4))]
+        # M log-uniform up to 10^4: an integer, a decimal, or a mean number
+        # of triples per sample as estimate_q passes it.
+        top_m = 10 ** 4 if case < 3 else 10 ** rng.uniform(0, 4)
+        shape = case % 3
+        if shape == 0:
+            m = max(1, round(top_m))
+        elif shape == 1:
+            m = round(max(top_m, 0.5), 2)
+        else:
+            m = Fraction(max(1, round(top_m * 97)), 97)
+        prof = OmissionProfile(m, q)
+        walk = fraction_walk(m, q)
+        top = math.floor(prof._breaks[-1])
+        for e in range(top + 1):
+            expected = walk(e)
+            assert prof.load_exact(e) == expected, (m, q, e)
+            assert prof.load(e) == float(expected)
+        for brk in prof._breaks:
+            assert prof.load_exact(brk) == walk(brk)
+            for e in (math.floor(brk), math.ceil(brk)):
+                if e <= top:
+                    assert prof.load_exact(e) == walk(e)
+        for e in (top + 1, top + 2):
+            with pytest.raises(ValidationError):
+                walk(e)
+            with pytest.raises(ValidationError):
+                prof.load_exact(e)
+            assert prof.load(e) == math.inf
+        half = Fraction(2 * rng.randint(0, top) + 1, 2) if top else None
+        if half is not None and half <= prof._breaks[-1]:
+            assert prof.load_exact(half) == walk(half)
+    with pytest.raises(ValidationError):
+        OmissionProfile(100, [0.3]).load_exact(-1)
+    assert OmissionProfile(100, [0.3]).load_exact(0) == 0
 
 
 class TestComputeSide:
