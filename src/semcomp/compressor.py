@@ -179,9 +179,8 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
     round1_omitted = 0
     still: List[Triple] = []
     for t in candidates:
-        verdict, relations = g.round1_verdict(t.head, t.tail)
-        report.comparison_count += len(relations)
-        if verdict == t.relation:
+        report.comparison_count += len(g.pair(t.head, t.tail).relations)
+        if g.round1_verdict(t.head, t.tail) == t.relation:
             omitted.append(t)
             records.append(OmissionRecord(t.head, t.tail, 1))
             round1_omitted += 1
@@ -248,7 +247,7 @@ def decompress(g: ProbabilityGraph, msg: CompressedMessage) -> KnowledgeGraph:
                     rec.head, rec.tail, [recon[c] for c in rec.conditions])
                 rid = unique_max_relation(counts)
             else:  # every relation on a pair has a sample: denom >= 1
-                rid, denom = g.round1_verdict(rec.head, rec.tail)[0], 1
+                rid, denom = g.round1_verdict(rec.head, rec.tail), 1
         except SemcompError as exc:
             raise CorruptMessageError(str(exc)) from exc
         if denom == 0:

@@ -63,10 +63,9 @@ class ProbabilityGraph:
         # (head, tail) -> ({relation: support bitset}, union bitset), built on
         # the pair's first `pair_bits` call; bit i set <=> sample i supports.
         self._bits: Dict[Tuple[int, int], Tuple[Dict[int, int], int]] = {}
-        # (head, tail) -> (round-1 verdict, relation ids), filled on the
-        # pair's first `round1_verdict` call.
-        self._verdicts: Dict[Tuple[int, int],
-                             Tuple[Optional[int], Tuple[int, ...]]] = {}
+        # (head, tail) -> round-1 verdict, filled on the pair's first
+        # `round1_verdict` call.
+        self._verdicts: Dict[Tuple[int, int], Optional[int]] = {}
 
     @property
     def n_pairs(self) -> int:
@@ -79,9 +78,9 @@ class ProbabilityGraph:
         return quad
 
     def has_triple(self, triple: Triple) -> bool:
-        pair = (triple.head, triple.tail)
-        return (pair in self.quadruples
-                and triple.relation in self.round1_verdict(*pair)[1])
+        quad = self.quadruples.get((triple.head, triple.tail))
+        return quad is not None and any(
+            rid == triple.relation for rid, _ in quad.relations)
 
     @property
     def content_hash(self) -> bytes:
@@ -137,22 +136,19 @@ class ProbabilityGraph:
         return ([(rid, (event & b).bit_count()) for rid, b in rel_bits.items()],
                 event.bit_count())
 
-    def round1_verdict(self, head: int, tail: int
-                       ) -> Tuple[Optional[int], Tuple[int, ...]]:
-        """(unconditional verdict, relation ids in relation order) for a pair.
+    def round1_verdict(self, head: int, tail: int) -> Optional[int]:
+        """The relation a round-1 omission on the pair stands for.
 
-        The verdict is the relation with the strictly largest unconditional
-        count, or None on a tie: the relation a round-1 omission stands for.
-        It depends on the pair alone, so it is computed from
-        `relation_counts` on the pair's first call and cached on the graph.
-        Raises PairNotFoundError.
+        That is the relation with the strictly largest unconditional count,
+        or None on a tie.  It depends on the pair alone, so it is computed
+        from `relation_counts` on the pair's first call and cached on the
+        graph.  Raises PairNotFoundError.
         """
-        entry = self._verdicts.get((head, tail))
-        if entry is None:
-            counts, _ = self.relation_counts(head, tail)
-            entry = self._verdicts[(head, tail)] = (
-                unique_max_relation(counts), tuple(rid for rid, _ in counts))
-        return entry
+        pair = (head, tail)
+        if pair not in self._verdicts:
+            self._verdicts[pair] = unique_max_relation(
+                self.relation_counts(head, tail)[0])
+        return self._verdicts[pair]
 
     def prob(self, head: int, relation: int, tail: int) -> Fraction:
         """Unconditional relation probability |N_r| / sum over the pair."""

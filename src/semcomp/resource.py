@@ -142,13 +142,12 @@ class OmissionProfile:
 
         # Load value at each breakpoint, anchored cumulatively, and segment n
         # (breaks[n-1] < e <= breaks[n]) as an integer line
-        # load(e) = (num + e*step) / den.  An integer e lies on segment n
-        # iff floor(breaks[n-1]) < e <= floor(breaks[n]).
+        # load(e) = (num + e*step) / den.
         self._anchors: List[Fraction] = []
         self._lines: List[Tuple[int, int, int]] = []
         value = prev_break = Fraction(0)
         for n, brk in enumerate(self._breaks):
-            slope = self._slope(n)
+            slope = 1 / self._q[0] if n == 0 else self._caps[n - 1] / self._q[n]
             base = value - prev_break * slope
             den = math.lcm(base.denominator, slope.denominator)
             self._lines.append((base.numerator * (den // base.denominator),
@@ -157,16 +156,17 @@ class OmissionProfile:
             value += (brk - prev_break) * slope
             self._anchors.append(value)
             prev_break = brk
-        self._floors = [math.floor(b) for b in self._breaks]
+        # Breakpoints times the lcm of their denominators: integers, so an
+        # integer e is placed by integer comparisons (Fraction ones doubled
+        # the cost of a load).
+        self._scale = math.lcm(*(b.denominator for b in self._breaks))
+        self._scaled_breaks = [b.numerator * (self._scale // b.denominator)
+                               for b in self._breaks]
 
         # e -> load(e); the optimizer asks for the same E from both the
         # latency and the energy formula, and each exact evaluation costs
         # Fraction arithmetic.
         self._loads: Dict[float, float] = {}
-
-    def _slope(self, n: int) -> Fraction:
-        """Comparisons per omission on stage n: 1/q_1, then E_{n-1}/q_n."""
-        return 1 / self._q[0] if n == 0 else self._caps[n - 1] / self._q[n]
 
     @property
     def m_total(self) -> float:
@@ -188,39 +188,23 @@ class OmissionProfile:
     def total_omissible(self) -> float:
         return float(self._breaks[-1]) if self._breaks else 0.0
 
-    def _beyond(self, e) -> bool:
-        """Whether e exceeds the reachable total, compared exactly."""
-        if not self._breaks:
-            return True
-        if isinstance(e, int):
-            return e > self._floors[-1]
-        return _to_fraction(e) > self._breaks[-1]
-
     def load_exact(self, e) -> Fraction:
         """Comparison count for e omissions, as an exact rational.
 
-        An integer e is read off its segment's integer line: one bisect and
-        one Fraction.  Any other e walks the segments in Fraction arithmetic.
+        Read off the integer line of the first segment whose breakpoint is
+        at or beyond e: one bisect and one Fraction.
         """
-        on_line = isinstance(e, int)
-        if not on_line:
+        if not isinstance(e, int):
             e = _to_fraction(e)
         if e < 0:
             raise ValidationError("omission count must be non-negative")
         if e == 0:
             return Fraction(0)
-        if self._beyond(e):
+        scaled = e * self._scale
+        if not self._breaks or scaled > self._scaled_breaks[-1]:
             raise ValidationError("omission count beyond the reachable total")
-        if on_line:
-            num, step, den = self._lines[bisect_left(self._floors, e)]
-            return Fraction(num + e * step, den)
-        prev_break = Fraction(0)
-        prev_value = Fraction(0)
-        for n, brk in enumerate(self._breaks):
-            if e <= brk:
-                return prev_value + (e - prev_break) * self._slope(n)
-            prev_break, prev_value = brk, self._anchors[n]
-        raise AssertionError("unreachable")
+        num, step, den = self._lines[bisect_left(self._scaled_breaks, scaled)]
+        return Fraction(num + e * step, den)
 
     def load(self, e: float) -> float:
         """Float view of load_exact; inf beyond the last breakpoint.
@@ -231,12 +215,10 @@ class OmissionProfile:
         if value is None:
             if e < 0:
                 raise ValidationError("omission count must be non-negative")
-            if e == 0:
-                value = 0.0
-            elif self._beyond(e):
-                value = math.inf
-            else:
+            try:
                 value = float(self.load_exact(e))
+            except ValidationError:  # e >= 0: beyond the reachable total
+                value = math.inf
             self._loads[e] = value
         return value
 

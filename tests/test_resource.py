@@ -205,6 +205,10 @@ def test_integer_lines_match_fraction_walk():
         half = Fraction(2 * rng.randint(0, top) + 1, 2) if top else None
         if half is not None and half <= prof._breaks[-1]:
             assert prof.load_exact(half) == walk(half)
+        x = round(rng.uniform(0, float(prof._breaks[-1])), 3)
+        if _to_fraction(x) <= prof._breaks[-1]:
+            assert prof.load_exact(x) == walk(x)
+            assert prof.load(x) == float(walk(x))
     with pytest.raises(ValidationError):
         OmissionProfile(100, [0.3]).load_exact(-1)
     assert OmissionProfile(100, [0.3]).load_exact(0) == 0
