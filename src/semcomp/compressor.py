@@ -86,9 +86,6 @@ class CompressionReport:
         """Per-stage omitted/candidates ratios (zero-candidate stages skipped)."""
         return [s.omitted / s.candidates for s in self.stages if s.candidates]
 
-    def omitted_total(self) -> int:
-        return sum(s.omitted for s in self.stages)
-
 
 def _first_condition(g: ProbabilityGraph, t: Triple, cond: List[int],
                      width: int, report: CompressionReport
@@ -172,8 +169,8 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
     candidates = [t for t in triples if g.has_triple(t)]
     remaining_total = len(triples)
 
-    omitted: List[Triple] = []          # omission order
-    records: List[OmissionRecord] = []  # conditions as positions in `omitted`
+    # (triple, round, conditions as positions in this list), omission order
+    omitted: List[Tuple[Triple, int, Tuple[int, ...]]] = []
 
     # Round 1: unconditional unique-mode relations.
     round1_omitted = 0
@@ -181,8 +178,7 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
     for t in candidates:
         report.comparison_count += len(g.pair(t.head, t.tail).relations)
         if g.round1_verdict(t.head, t.tail) == t.relation:
-            omitted.append(t)
-            records.append(OmissionRecord(t.head, t.tail, 1))
+            omitted.append((t, 1, ()))
             round1_omitted += 1
         else:
             still.append(t)
@@ -197,15 +193,13 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
             cycle += 1
             # The O-set is frozen for this cycle: one bitset per omitted triple.
             cond = ([g.pair_bits(o.head, o.tail)[0][o.relation]
-                     for o in omitted] if candidates else [])
+                     for o, _, _ in omitted] if candidates else [])
             cycle_omitted = 0
             still = []
             for t in candidates:
                 chosen = _first_condition(g, t, cond, width, report)
                 if chosen is not None:
-                    omitted.append(t)
-                    records.append(OmissionRecord(t.head, t.tail, round_no,
-                                                  conditions=chosen))
+                    omitted.append((t, round_no, chosen))
                     cycle_omitted += 1
                 else:
                     still.append(t)
@@ -216,16 +210,16 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
             if cycle_omitted == 0:
                 break
 
-    omitted_set = set(omitted)
+    omitted_set = {t for t, _, _ in omitted}
     full = [t for t in triples if t not in omitted_set]
     offset = len(full)
-    final_records = [
-        OmissionRecord(r.head, r.tail, r.round,
-                       conditions=tuple(offset + i for i in r.conditions))
-        if r.conditions else r
-        for r in records
-    ]
-    msg = CompressedMessage(g.content_hash, full, final_records)
+    # Round-1 records skip the generator: on round-1-only messages it cost
+    # about half as much again as building the records.
+    records = [
+        OmissionRecord(t.head, t.tail, round_no,
+                       tuple(offset + i for i in chosen) if chosen else ())
+        for t, round_no, chosen in omitted]
+    msg = CompressedMessage(g.content_hash, full, records)
     return msg, report
 
 

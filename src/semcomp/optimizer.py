@@ -57,7 +57,7 @@ def _solve_range(link: LinkModel, profile: OmissionProfile, m: int,
         raise ValidationError("m must be >= 1")
     e_hi = min(e_hi, m, math.floor(profile.total_omissible))
 
-    best = None  # (e_total, e, p, result fields)
+    best = None  # ((e_total, e, p), t2, e1, e2) of the best E so far
     trace = [] if keep_trace else None
     for e in range(0, e_hi + 1):
         t2 = comp_latency(link, profile, e)
@@ -67,21 +67,18 @@ def _solve_range(link: LinkModel, profile: OmissionProfile, m: int,
         p = power_for_latency(link, payload_bits(link, m, e), t_remaining)
         if p > link.p_max_w:
             continue
-        t1 = comm_latency(link, m, e, p)
         e1, e2 = energies(link, profile, m, e, p)
         total = e1 + e2
         if keep_trace:
             trace.append((e, p, total))
         key = (total, e, p)
         if best is None or key < best[0]:
-            best = ((total, e, p),
-                    AllocationResult(p_opt=p, e_opt=e, t1=t1, t2=t2,
-                                     e1=e1, e2=e2, feasible=True))
+            best = (key, t2, e1, e2)
     if best is None:
         return _infeasible(trace)
-    result = best[1]
-    result.trace = trace
-    return result
+    (_, e, p), t2, e1, e2 = best
+    return AllocationResult(p_opt=p, e_opt=e, t1=comm_latency(link, m, e, p),
+                            t2=t2, e1=e1, e2=e2, feasible=True, trace=trace)
 
 
 def solve(link: LinkModel, profile: OmissionProfile, m: int,
@@ -90,12 +87,12 @@ def solve(link: LinkModel, profile: OmissionProfile, m: int,
     return _solve_range(link, profile, m, m, keep_trace)
 
 
-def solve_simplified(link: LinkModel, profile: OmissionProfile, m: int,
-                     keep_trace: bool = False) -> AllocationResult:
+def solve_simplified(link: LinkModel, profile: OmissionProfile,
+                     m: int) -> AllocationResult:
     """Same problem with E restricted to the first-stage cap."""
     e_caps = profile.e_caps
     e_hi = math.floor(e_caps[0]) if e_caps else 0
-    return _solve_range(link, profile, m, e_hi, keep_trace)
+    return _solve_range(link, profile, m, e_hi, False)
 
 
 def solve_traditional(link: LinkModel, m: int) -> AllocationResult:

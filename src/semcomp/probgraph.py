@@ -10,6 +10,7 @@ import json
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (GraphDecodeError, PairNotFoundError, RelationNotFoundError,
@@ -252,17 +253,18 @@ class ProbabilityGraph:
             rels = []
             for _ in range(n_rel):
                 rid, n_sup = struct.unpack("<II", take(8))
-                samples = []
-                prev = 0
-                for _ in range(n_sup):
-                    (delta,) = struct.unpack("<I", take(4))
-                    prev += delta
-                    samples.append(prev)
-                if not samples:  # round-1 verdicts assume a nonzero total
+                if not n_sup:  # round-1 verdicts assume a nonzero total
                     raise GraphDecodeError("relation without a sample")
-                if prev > n_samples:  # also bounds the width of its bitset
+                deltas = struct.unpack("<%dI" % n_sup, take(4 * n_sup))
+                # A zero delta would repeat an id (the counts would then
+                # disagree with the bitsets) or, first, admit sample id 0.
+                if 0 in deltas:
+                    raise GraphDecodeError(
+                        "sample ids must strictly increase from 1")
+                samples = tuple(accumulate(deltas))
+                if samples[-1] > n_samples:  # also bounds its bitset's width
                     raise GraphDecodeError("sample id beyond the sample count")
-                rels.append((rid, tuple(samples)))
+                rels.append((rid, samples))
             quadruples[(head, tail)] = Quadruple(head, tail, tuple(rels))
         if pos != len(view):
             raise GraphDecodeError("trailing bytes after graph body")

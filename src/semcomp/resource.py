@@ -9,7 +9,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .compressor import DEFAULT_MAX_ROUND, compress
 from .errors import ValidationError
@@ -35,8 +35,9 @@ class LinkModel:
         for name in ("bandwidth_hz", "path_gain", "noise_power_w",
                      "bits_per_field", "p_max_w", "latency_budget_s",
                      "compute_capacity", "tau1", "tau2"):
-            if getattr(self, name) <= 0:
-                raise ValidationError("%s must be strictly positive" % name)
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValidationError("%s must be finite and strictly positive"
+                                      % name)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "LinkModel":
@@ -163,11 +164,6 @@ class OmissionProfile:
         self._scaled_breaks = [b.numerator * (self._scale // b.denominator)
                                for b in self._breaks]
 
-        # e -> load(e); the optimizer asks for the same E from both the
-        # latency and the energy formula, and each exact evaluation costs
-        # Fraction arithmetic.
-        self._loads: Dict[float, float] = {}
-
     @property
     def m_total(self) -> float:
         return float(self._m)
@@ -181,46 +177,45 @@ class OmissionProfile:
         return [float(c) for c in self._caps]
 
     @property
-    def breakpoints(self) -> List[float]:
-        return [float(b) for b in self._breaks]
-
-    @property
     def total_omissible(self) -> float:
         return float(self._breaks[-1]) if self._breaks else 0.0
 
-    def load_exact(self, e) -> Fraction:
-        """Comparison count for e omissions, as an exact rational.
-
-        Read off the integer line of the first segment whose breakpoint is
-        at or beyond e: one bisect and one Fraction.
-        """
-        if not isinstance(e, int):
-            e = _to_fraction(e)
+    def _line(self, e):
+        """(e, line): e as an int or exact Fraction, and the integer line
+        (num, step, den) of the first segment whose breakpoint is at or
+        beyond it, or None beyond the reachable total.  One bisect."""
         if e < 0:
             raise ValidationError("omission count must be non-negative")
+        if not isinstance(e, int):
+            e = _to_fraction(e)
         if e == 0:
-            return Fraction(0)
+            return e, (0, 0, 1)
         scaled = e * self._scale
         if not self._breaks or scaled > self._scaled_breaks[-1]:
+            return e, None
+        return e, self._lines[bisect_left(self._scaled_breaks, scaled)]
+
+    def load_exact(self, e) -> Fraction:
+        """Comparison count for e omissions, as an exact rational: one
+        Fraction."""
+        e, line = self._line(e)
+        if line is None:
             raise ValidationError("omission count beyond the reachable total")
-        num, step, den = self._lines[bisect_left(self._scaled_breaks, scaled)]
+        num, step, den = line
         return Fraction(num + e * step, den)
 
     def load(self, e: float) -> float:
-        """Float view of load_exact; inf beyond the last breakpoint.
+        """load_exact(e) as a float; inf beyond the last breakpoint.
 
-        Memoized per `e` on the profile, which is immutable after __init__.
+        For an integer e this is one int true division on the same line,
+        which CPython rounds correctly, as it does `Fraction.__float__`: the
+        same float, with no Fraction built.
         """
-        value = self._loads.get(e)
-        if value is None:
-            if e < 0:
-                raise ValidationError("omission count must be non-negative")
-            try:
-                value = float(self.load_exact(e))
-            except ValidationError:  # e >= 0: beyond the reachable total
-                value = math.inf
-            self._loads[e] = value
-        return value
+        e, line = self._line(e)
+        if line is None:
+            return math.inf
+        num, step, den = line
+        return float((num + e * step) / den)
 
 
 def comp_latency(link: LinkModel, profile: OmissionProfile, e: float) -> float:
@@ -237,14 +232,13 @@ def energies(link: LinkModel, profile: OmissionProfile,
 
 
 def estimate_q(g: ProbabilityGraph, corpus: Corpus,
-               max_round: int = DEFAULT_MAX_ROUND,
-               m_total: Optional[float] = None) -> OmissionProfile:
+               max_round: int = DEFAULT_MAX_ROUND) -> OmissionProfile:
     """Measure per-stage omission ratios by compressing every corpus sample.
 
     Stages are aligned across samples by (round, cycle) position;
     ratios are pooled counts (total omitted / total candidates entering the
     stage).  Stages that omit nothing overall are dropped, so the profile
-    only covers productive stages.
+    only covers productive stages.  M is the mean triple count per sample.
     """
     if corpus.n_samples == 0 or corpus.n_triples() == 0:
         raise ValidationError("corpus yields no triples")
@@ -264,6 +258,4 @@ def estimate_q(g: ProbabilityGraph, corpus: Corpus,
             continue
         q.append(Fraction(omitted, candidates))
 
-    if m_total is None:
-        m_total = Fraction(corpus.n_triples(), corpus.n_samples)
-    return OmissionProfile(m_total, q)
+    return OmissionProfile(Fraction(corpus.n_triples(), corpus.n_samples), q)

@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from semcomp.cli import main
 from semcomp.kg import load_corpus
+from semcomp.probgraph import ProbabilityGraph, Quadruple, build
 
 CORPUS_LINES = [
     {"sample": 1, "triples": [["a", "r1", "b"], ["c", "s", "d"]]},
@@ -174,5 +175,38 @@ def test_non_utf8_corpus_exit_code(runner, tmp_path):
     bad.write_bytes(json.dumps(CORPUS_LINES[0]).encode() + b"\n\xff\xfe\n")
     out = runner.invoke(main, ["build-graph", "--corpus", str(bad),
                                "--out", str(tmp_path / "g.spgr")])
+    assert out.exit_code == 2
+    assert "Traceback" not in out.output
+
+
+@pytest.mark.parametrize("key,value", [
+    ("bandwidth_mhz", ".nan"),
+    ("latency_budget_ms", ".inf"),
+])
+def test_non_finite_link_value_exit_code(runner, tmp_path, key, value):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("\n".join(
+        "%s: %s" % (key, value) if line.startswith(key + ":") else line
+        for line in CONFIG.splitlines()) + "\n")
+    out = runner.invoke(main, ["optimize", "--config", str(cfg)])
+    assert out.exit_code == 2
+    for word in ("Traceback", "NaN", "Infinity"):
+        assert word not in out.output
+
+
+def test_repeated_sample_id_graph_exit_code(runner, workspace):
+    corpus = load_corpus(workspace / "corpus.jsonl")
+    g = build(corpus)
+    (head, tail), quad = sorted(g.quadruples.items())[0]
+    (rid, _), *rest = quad.relations
+    quadruples = dict(g.quadruples)
+    quadruples[head, tail] = Quadruple(head, tail, ((rid, (1, 1, 1)), *rest))
+    crafted = ProbabilityGraph(quadruples, g.n_samples, g.entities,
+                               g.relations)
+    graph = workspace / "crafted.spgr"
+    crafted.save(graph)
+    out = runner.invoke(main, ["compress", "--graph", str(graph),
+                               "--input", str(workspace / "message.jsonl"),
+                               "--out", str(workspace / "msg.scmp")])
     assert out.exit_code == 2
     assert "Traceback" not in out.output

@@ -203,7 +203,7 @@ def test_power_for_latency_inverts_capacity():
 
 
 def test_solve_evaluates_each_load_once(monkeypatch):
-    """comp_latency and energies share one load evaluation per E."""
+    """solve prices every E by integer division: no exact load at all."""
     link = LinkModel(path_gain=1e-8, tau1=100.0, tau2=1e-30)
     profile = OmissionProfile(100, [0.4, 0.2])
     evaluated = []
@@ -214,6 +214,15 @@ def test_solve_evaluates_each_load_once(monkeypatch):
         return load_exact(self, e)
 
     monkeypatch.setattr(OmissionProfile, "load_exact", counting)
-    result = solve(link, profile, 100)
+    result = solve(link, profile, 100, keep_trace=True)
     assert result.feasible and result.e_opt > 0
-    assert evaluated and len(evaluated) == len(set(evaluated))
+    assert evaluated == []
+
+    def exact_load(self, e):  # the float view as a Fraction evaluation
+        try:
+            return float(load_exact(self, e))
+        except ValidationError:  # beyond the last breakpoint
+            return math.inf
+
+    monkeypatch.setattr(OmissionProfile, "load", exact_load)
+    assert repr(solve(link, profile, 100, keep_trace=True)) == repr(result)

@@ -305,6 +305,17 @@ class TestSerialization:
         with pytest.raises(GraphDecodeError, match="without a sample"):
             ProbabilityGraph.from_bytes(crafted.to_bytes())
 
+    @pytest.mark.parametrize("support", [(1, 1, 1), (0, 1)])
+    def test_sample_ids_not_increasing_from_one_rejected(self, support):
+        # (1, 1, 1) repeats an id: its count would read 3 against a bitset
+        # of one sample.  (0, 1) starts at 0, below the first sample id.
+        corpus = corpus_from_samples([[("a", "r", "b")], [("a", "s", "b")]])
+        g = build(corpus)
+        quad = Quadruple(0, 1, ((0, support), (1, (1, 2))))
+        crafted = ProbabilityGraph({(0, 1): quad}, 2, g.entities, g.relations)
+        with pytest.raises(GraphDecodeError, match="strictly increase"):
+            ProbabilityGraph.from_bytes(crafted.to_bytes())
+
     def test_file_roundtrip(self, tmp_path, rng):
         corpus = random_corpus(rng, n_samples=4)
         g = build(corpus)

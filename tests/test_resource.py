@@ -193,9 +193,11 @@ def test_integer_lines_match_fraction_walk():
             assert prof.load(e) == float(expected)
         for brk in prof._breaks:
             assert prof.load_exact(brk) == walk(brk)
+            assert prof.load(brk) == float(walk(brk))
             for e in (math.floor(brk), math.ceil(brk)):
                 if e <= top:
                     assert prof.load_exact(e) == walk(e)
+                    assert prof.load(e) == float(walk(e))
         for e in (top + 1, top + 2):
             with pytest.raises(ValidationError):
                 walk(e)
@@ -205,6 +207,7 @@ def test_integer_lines_match_fraction_walk():
         half = Fraction(2 * rng.randint(0, top) + 1, 2) if top else None
         if half is not None and half <= prof._breaks[-1]:
             assert prof.load_exact(half) == walk(half)
+            assert prof.load(half) == float(walk(half))
         x = round(rng.uniform(0, float(prof._breaks[-1])), 3)
         if _to_fraction(x) <= prof._breaks[-1]:
             assert prof.load_exact(x) == walk(x)
@@ -307,3 +310,8 @@ class TestConfig:
             LinkModel(bandwidth_hz=0)
         with pytest.raises(ValidationError):
             LinkModel(tau2=-1)
+        for bad in (math.nan, math.inf, -math.inf):
+            for name in ("bandwidth_hz", "latency_budget_s", "p_max_w",
+                         "tau2"):
+                with pytest.raises(ValidationError, match=name):
+                    LinkModel(**{name: bad})
