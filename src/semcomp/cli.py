@@ -9,45 +9,26 @@ import json
 import sys
 
 import click
-import yaml
 
 from . import compressor, experiments, kg, optimizer, probgraph, resource
-from .errors import SemcompError
+from .errors import ParseError, SemcompError, ValidationError
 
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
 
-def _fail(code, message):
-    click.echo("error: %s" % message, err=True)
-    sys.exit(code)
-
-
 def _guard(fn):
+    """Report a library or I/O error as `error: ...` and its exit code."""
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except SemcompError as exc:
-            _fail(EXIT_VALIDATION, str(exc))
-        except OSError as exc:
-            _fail(EXIT_IO, str(exc))
+        except (SemcompError, OSError) as exc:
+            click.echo("error: %s" % exc, err=True)
+            sys.exit(EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION)
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__
     return wrapper
-
-
-def _load_config(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        _fail(EXIT_VALIDATION, "config parse error in %s: %s" % (path, exc))
-    if cfg is None:
-        cfg = {}
-    if not isinstance(cfg, dict):
-        _fail(EXIT_VALIDATION, "config %s must be a flat key-value document" % path)
-    return cfg
 
 
 @click.group()
@@ -72,8 +53,8 @@ def build_graph(corpus_path, out_path):
 def _load_single_sample(path):
     corpus = kg.load_corpus(path)
     if corpus.n_samples != 1:
-        _fail(EXIT_VALIDATION,
-              "input must contain exactly one sample, found %d" % corpus.n_samples)
+        raise ValidationError("input must contain exactly one sample, found %d"
+                              % corpus.n_samples)
     return corpus
 
 
@@ -85,11 +66,11 @@ def _remap_kg(graph, corpus):
         r = graph.relations.id_of(corpus.relations.label(t.relation))
         tl = graph.entities.id_of(corpus.entities.label(t.tail))
         if h is None or r is None or tl is None:
-            _fail(EXIT_VALIDATION,
-                  "input uses labels absent from the shared graph "
-                  "(%s, %s, %s)" % (corpus.entities.label(t.head),
-                                    corpus.relations.label(t.relation),
-                                    corpus.entities.label(t.tail)))
+            raise ValidationError(
+                "input uses labels absent from the shared graph (%s, %s, %s)"
+                % (corpus.entities.label(t.head),
+                   corpus.relations.label(t.relation),
+                   corpus.entities.label(t.tail)))
         triples.append(kg.Triple(h, r, tl))
     return kg.KnowledgeGraph(triples, sample_id=1)
 
@@ -175,11 +156,10 @@ def estimate_q_cmd(graph_path, corpus_path, max_round):
 @_guard
 def optimize_cmd(config_path, trace):
     """Solve the joint power/omission energy minimization."""
-    cfg = _load_config(config_path)
-    link = resource.LinkModel.from_config(cfg)
-    m, q = experiments.omission_config(cfg)
-    profile = resource.OmissionProfile(m, q)
-    result = optimizer.solve(link, profile, m, keep_trace=trace)
+    cfg = experiments.read_config(config_path)
+    m = cfg["m_total"]
+    profile = resource.OmissionProfile(m, cfg["q"])
+    result = optimizer.solve(cfg["link"], profile, m, keep_trace=trace)
     out = {
         "feasible": result.feasible,
         "p_w": result.p_opt,
@@ -212,12 +192,12 @@ def optimize_cmd(config_path, trace):
 @_guard
 def sweep_cmd(config_path, variable, grid, csv_path, plot_path):
     """Sweep one parameter across all algorithms and emit CSV."""
-    cfg = _load_config(config_path)
+    fields = experiments.read_config(config_path)
     try:
         values = [float(v) for v in grid.split(",") if v.strip()]
-    except ValueError:
-        _fail(EXIT_VALIDATION, "grid must be comma-separated numbers")
-    spec = experiments.spec_from_config(cfg, variable, values)
+    except ValueError as exc:
+        raise ParseError("grid must be comma-separated numbers") from exc
+    spec = experiments.SweepSpec(variable, values, **fields)
     rows = experiments.run_sweep(spec)
     experiments.emit_csv(rows, csv_path)
     if plot_path:

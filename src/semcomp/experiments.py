@@ -3,13 +3,17 @@
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from .errors import ValidationError
+import yaml
+
+from .errors import ParseError, ValidationError
 from .optimizer import (AllocationResult, solve, solve_simplified,
                         solve_traditional)
-from .resource import LinkModel, OmissionProfile, config_value
+from .resource import (_LINK_KEYS, LinkModel, OmissionProfile, as_float,
+                       as_int, config_value)
 
 ALGORITHMS = ("jccpg", "simplified", "traditional")
 DEFAULT_Q = (0.3, 0.2, 0.1)
@@ -34,11 +38,16 @@ class SweepSpec:
                                   % (self.variable, ", ".join(SWEEP_VARIABLES)))
         if not self.grid:
             raise ValidationError("sweep grid must be non-empty")
+        if not all(math.isfinite(v) for v in self.grid):
+            raise ValidationError("sweep grid values must be finite")
         if any(b >= a for a, b in zip(self.grid[1:], self.grid)):
             raise ValidationError("sweep grid must be strictly increasing")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValidationError("unknown algorithms: %s" % sorted(unknown))
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ValidationError("algorithms must not repeat: %s"
+                                  % list(self.algorithms))
 
 
 @dataclass
@@ -110,10 +119,10 @@ def emit_plotdata(rows: List[SweepRow], path):
         fh.write("\n")
 
 
-def omission_config(cfg: dict):
-    """(m_total, q) from a flat config; absent keys take the defaults."""
-    return (config_value(cfg, "m_total", int, DEFAULT_M_TOTAL),
-            config_value(cfg, "q", lambda q: [float(v) for v in q], DEFAULT_Q))
+def _ratios(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError("expected a list of omission ratios")
+    return [as_float(v) for v in value]
 
 
 def _algorithm_names(value) -> tuple:
@@ -122,11 +131,33 @@ def _algorithm_names(value) -> tuple:
     return tuple(value) or ALGORITHMS
 
 
-def spec_from_config(cfg: dict, variable: str,
-                     grid: Sequence[float]) -> SweepSpec:
-    link = LinkModel.from_config(cfg)
-    m_total, q = omission_config(cfg)
-    return SweepSpec(variable=variable, grid=list(grid), link=link, q=q,
-                     m_total=m_total,
-                     algorithms=config_value(cfg, "algorithms",
-                                             _algorithm_names, ALGORITHMS))
+CONFIG_KEYS = (*_LINK_KEYS, "m_total", "q", "algorithms")
+
+
+def read_config(path) -> dict:
+    """The `SweepSpec` fields a flat YAML config sets: `link`, `m_total`,
+    `q` and `algorithms`, each at its default when its keys are absent.
+
+    A file that is not UTF-8 YAML holding a flat mapping raises ParseError;
+    an unknown key or a bad value raises ValidationError naming the key.
+    """
+    # Besides YAMLError, loading lets ValueError out: for a byte that is not
+    # UTF-8, and for a malformed scalar such as `!!int x` or `2020-13-45`.
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = yaml.safe_load(fh)
+    except (yaml.YAMLError, ValueError) as exc:
+        raise ParseError("config parse error in %s: %s" % (path, exc)) from exc
+    if cfg is None:
+        cfg = {}
+    if not isinstance(cfg, dict):
+        raise ParseError("config %s must be a flat key-value document" % path)
+    for key in cfg:
+        if key not in CONFIG_KEYS:
+            raise ValidationError("unknown config key %r (expected one of %s)"
+                                  % (key, ", ".join(CONFIG_KEYS)))
+    return {"link": LinkModel.from_config(cfg),
+            "m_total": config_value(cfg, "m_total", as_int, DEFAULT_M_TOTAL),
+            "q": config_value(cfg, "q", _ratios, DEFAULT_Q),
+            "algorithms": config_value(cfg, "algorithms", _algorithm_names,
+                                       ALGORITHMS)}

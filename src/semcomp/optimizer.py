@@ -101,8 +101,8 @@ def solve_traditional(link: LinkModel, m: int) -> AllocationResult:
         raise ValidationError("m must be >= 1")
     if link.latency_budget_s <= 0:
         raise ValidationError("latency budget must be positive")
-    bits = link.bits_per_field * 3 * m
-    p = power_for_latency(link, bits, link.latency_budget_s)
+    p = power_for_latency(link, payload_bits(link, m, 0),
+                          link.latency_budget_s)
     t1 = link.latency_budget_s
     return AllocationResult(p_opt=p, e_opt=0, t1=t1, t2=0.0,
                             e1=t1 * p, e2=0.0, feasible=True)

@@ -1,7 +1,9 @@
 """Analytic communication/computation cost model.
 
 All internal units are SI: W, Hz, s, J, bits.  CLI-facing configs may carry
-dBm / MHz / ms and are converted once at the boundary (`LinkModel.from_config`).
+dBm / MHz / ms.  `experiments.read_config` reads the config file;
+`LinkModel.from_config` is the one reader of its link keys and converts their
+units once, at that boundary.
 """
 
 import math
@@ -38,26 +40,53 @@ class LinkModel:
             if not 0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ValidationError("%s must be finite and strictly positive"
                                       % name)
+        # `energies` prices one comparison at tau1 * tau2 * f**2 joules.
+        try:
+            joules = self.tau1 * self.tau2 * self.compute_capacity ** 2
+        except OverflowError:
+            joules = math.inf
+        if joules == math.inf:
+            raise ValidationError("tau1 * tau2 * compute_capacity**2, the "
+                                  "energy of one comparison, must be finite")
 
     @classmethod
     def from_config(cls, cfg: dict) -> "LinkModel":
-        """Build from a flat config dict, converting MHz/dBm/ms to SI."""
+        """Build from a flat config dict, converting MHz/dBm/ms to SI.
+
+        Keys other than the link keys are ignored here;
+        `experiments.read_config` rejects the ones it does not know.
+        """
         return cls(**{attr: config_value(cfg, key, convert)
                       for key, (attr, convert) in _LINK_KEYS.items()
                       if key in cfg})
 
 
+def as_float(value) -> float:
+    """float(value), refusing booleans: YAML's `true` is not a number."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number, not a boolean")
+    return float(value)
+
+
+def as_int(value) -> int:
+    """An integral number as an int: 24 and 24.0, not 24.9 or `true`."""
+    number = as_float(value)
+    if not number.is_integer():
+        raise ValueError("expected an integer")
+    return value if isinstance(value, int) else int(number)
+
+
 # config key -> (LinkModel field, conversion to SI)
 _LINK_KEYS = {
-    "bandwidth_mhz": ("bandwidth_hz", lambda v: float(v) * 1e6),
-    "p_max_dbm": ("p_max_w", lambda v: dbm_to_watts(float(v))),
-    "latency_budget_ms": ("latency_budget_s", lambda v: float(v) * 1e-3),
-    "noise_w": ("noise_power_w", float),
-    "path_gain": ("path_gain", float),
-    "bits_per_field": ("bits_per_field", int),
-    "f_hz": ("compute_capacity", float),
-    "tau1": ("tau1", float),
-    "tau2": ("tau2", float),
+    "bandwidth_mhz": ("bandwidth_hz", lambda v: as_float(v) * 1e6),
+    "p_max_dbm": ("p_max_w", lambda v: dbm_to_watts(as_float(v))),
+    "latency_budget_ms": ("latency_budget_s", lambda v: as_float(v) * 1e-3),
+    "noise_w": ("noise_power_w", as_float),
+    "path_gain": ("path_gain", as_float),
+    "bits_per_field": ("bits_per_field", as_int),
+    "f_hz": ("compute_capacity", as_float),
+    "tau1": ("tau1", as_float),
+    "tau2": ("tau2", as_float),
 }
 
 
@@ -141,10 +170,9 @@ class OmissionProfile:
             acc += cap
             self._breaks.append(acc)
 
-        # Load value at each breakpoint, anchored cumulatively, and segment n
-        # (breaks[n-1] < e <= breaks[n]) as an integer line
-        # load(e) = (num + e*step) / den.
-        self._anchors: List[Fraction] = []
+        # Segment n (breaks[n-1] < e <= breaks[n]) as an integer line
+        # load(e) = (num + e*step) / den, anchored on the load value at the
+        # previous breakpoint.
         self._lines: List[Tuple[int, int, int]] = []
         value = prev_break = Fraction(0)
         for n, brk in enumerate(self._breaks):
@@ -155,7 +183,6 @@ class OmissionProfile:
                                 slope.numerator * (den // slope.denominator),
                                 den))
             value += (brk - prev_break) * slope
-            self._anchors.append(value)
             prev_break = brk
         # Breakpoints times the lcm of their denominators: integers, so an
         # integer e is placed by integer comparisons (Fraction ones doubled

@@ -107,10 +107,10 @@ def test_3_piecewise_load_structure():
         # float view: one-sided evaluations agree to 1e-9 relative
         for n in range(len(p._breaks) - 1):
             prev_b = float(p._breaks[n - 1]) if n > 0 else 0.0
-            prev_v = float(p._anchors[n - 1]) if n > 0 else 0.0
+            prev_v = float(p.load_exact(p._breaks[n - 1])) if n > 0 else 0.0
             slope = float(1 / p._q[0] if n == 0 else p._caps[n - 1] / p._q[n])
             from_left = prev_v + (float(p._breaks[n]) - prev_b) * slope
-            from_right = float(p._anchors[n])
+            from_right = float(p.load_exact(p._breaks[n]))
             assert abs(from_left - from_right) <= 1e-9 * max(from_right, 1.0)
         grid = [p.load(p.total_omissible * i / 17) for i in range(18)]
         assert grid == sorted(grid)

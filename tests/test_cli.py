@@ -1,9 +1,14 @@
 import json
+import math
 
 import pytest
+import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semcomp.cli import main
+from semcomp.experiments import ALGORITHMS, CONFIG_KEYS, SWEEP_VARIABLES
 from semcomp.kg import load_corpus
 from semcomp.probgraph import ProbabilityGraph, Quadruple, build
 
@@ -145,6 +150,13 @@ def test_io_error_exit_code(runner, workspace, tmp_path):
     ("optimize", ("bandwidth_mhz: 10", "bandwidth_mhz: abc")),
     ("optimize", ("q: [0.3, 0.2, 0.1]", "q: 0.3")),
     ("sweep", ("q: [0.3, 0.2, 0.1]", "q: 0.3")),
+    ("optimize", ("bandwidth_mhz: 10", "bandwith_mhz: 1")),
+    ("optimize", ("m_total: 100", "m_total: 1.5")),
+    ("optimize", ("m_total: 100", "m_total: true")),
+    ("optimize", ("bits_per_field: 24", "bits_per_field: 24.9")),
+    ("optimize", ("q: [0.3, 0.2, 0.1]", 'q: "1"')),
+    ("optimize", ("q: [0.3, 0.2, 0.1]", "q: [true]")),
+    ("sweep", ("p_max_dbm: 30", "p_max_dbm: false")),
 ])
 def test_bad_config_value_exit_code(runner, tmp_path, command, replace):
     cfg = tmp_path / "bad.yaml"
@@ -170,6 +182,35 @@ def test_scalar_algorithms_exit_code(runner, tmp_path, value):
     assert "algorithms" in out.output
 
 
+@pytest.mark.parametrize("config", [
+    b"m_total: 10\n\xff\n",  # not UTF-8
+    b"m_total: 2020-13-45\n",  # a date PyYAML cannot build
+])
+def test_unreadable_config_exit_code(runner, tmp_path, config):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_bytes(config)
+    out = runner.invoke(main, ["optimize", "--config", str(cfg)])
+    assert out.exit_code == 2
+    assert isinstance(out.exception, SystemExit)
+    assert "config parse error" in out.output
+
+
+@pytest.mark.parametrize("extra,grid", [
+    ("", "nan,1"),
+    ("", "inf"),
+    ("", "1e400"),
+    ("algorithms: [jccpg, jccpg]\n", "50,100"),
+])
+def test_bad_sweep_exit_code(runner, tmp_path, extra, grid):
+    cfg = tmp_path / "link.yaml"
+    cfg.write_text(CONFIG + extra)
+    out = runner.invoke(main, ["sweep", "--config", str(cfg), "--grid", grid,
+                               "--csv", str(tmp_path / "s.csv")])
+    assert out.exit_code == 2
+    assert isinstance(out.exception, SystemExit)
+    assert "wrote" not in out.output
+
+
 def test_non_utf8_corpus_exit_code(runner, tmp_path):
     bad = tmp_path / "latin1.jsonl"
     bad.write_bytes(json.dumps(CORPUS_LINES[0]).encode() + b"\n\xff\xfe\n")
@@ -182,6 +223,7 @@ def test_non_utf8_corpus_exit_code(runner, tmp_path):
 @pytest.mark.parametrize("key,value", [
     ("bandwidth_mhz", ".nan"),
     ("latency_budget_ms", ".inf"),
+    ("f_hz", "1.0e+200"),  # tau1 * tau2 * f**2 overflows
 ])
 def test_non_finite_link_value_exit_code(runner, tmp_path, key, value):
     cfg = tmp_path / "bad.yaml"
@@ -210,3 +252,70 @@ def test_repeated_sample_id_graph_exit_code(runner, workspace):
                                "--out", str(workspace / "msg.scmp")])
     assert out.exit_code == 2
     assert "Traceback" not in out.output
+
+
+# Contract: whatever flat YAML document `optimize` and `sweep` read, and
+# whatever `--grid` string `sweep` gets, they exit 0, 2 or 3 and raise nothing
+# but SystemExit.  A document draws well-typed values for some keys, so that
+# solves run, then values of any kind for up to two keys, known or not.
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    st.text(max_size=8))
+VALUES = st.recursive(
+    SCALARS, lambda inner: (st.lists(inner, max_size=3)
+                            | st.dictionaries(st.text(max_size=4), inner,
+                                              max_size=2)),
+    max_leaves=6)
+WELL_TYPED = dict(
+    {key: st.floats(1e-12, 1e12) for key in CONFIG_KEYS},
+    p_max_dbm=st.floats(-30, 60),
+    bits_per_field=st.integers(1, 64),
+    m_total=st.integers(1, 10 ** 4),
+    q=st.lists(st.floats(0, 1, exclude_min=True), max_size=4),
+    algorithms=st.lists(st.sampled_from(ALGORITHMS), max_size=3, unique=True))
+# Solve cost grows linearly with M and has no bound, so M stays <= 10^4.
+ANY_M_TOTAL = st.one_of(
+    st.integers(max_value=10 ** 4), st.floats(max_value=10 ** 4),
+    st.sampled_from([math.nan, math.inf]), st.none(), st.booleans(),
+    st.text(max_size=8), st.lists(VALUES, max_size=3))
+UNKNOWN_KEYS = (st.text(max_size=12) | SCALARS).filter(
+    lambda key: key not in CONFIG_KEYS)
+
+
+@st.composite
+def config_docs(draw):
+    doc = draw(st.fixed_dictionaries({}, optional=WELL_TYPED))
+    for key in draw(st.lists(st.sampled_from(CONFIG_KEYS) | UNKNOWN_KEYS,
+                             max_size=2)):
+        doc[key] = draw(ANY_M_TOTAL if key == "m_total" else VALUES)
+    return doc
+
+
+# Grid numbers stay small for the same reason as M; text draws no digits.
+GRID_TOKENS = st.one_of(
+    st.integers(-10, 10 ** 4).map(str),
+    st.floats(-10 ** 4, 10 ** 4).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "", " ", "x"]))
+GRIDS = st.one_of(
+    st.lists(st.integers(1, 10 ** 4), min_size=1, max_size=4,
+             unique=True).map(lambda ms: ",".join(map(str, sorted(ms)))),
+    st.lists(GRID_TOKENS, max_size=4).map(",".join),
+    st.text(st.characters(blacklist_categories=("Nd",)), max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=config_docs(), variable=st.sampled_from(SWEEP_VARIABLES),
+       grid=GRIDS)
+def test_config_contract(doc, variable, grid):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("link.yaml", "w", encoding="utf-8") as fh:
+            yaml.safe_dump(doc, fh, allow_unicode=True, sort_keys=False)
+        for args in (["optimize", "--config", "link.yaml"],
+                     ["sweep", "--config", "link.yaml", "--var", variable,
+                      "--grid", grid, "--csv", "sweep.csv"]):
+            out = runner.invoke(main, args)
+            assert out.exit_code in (0, 2, 3), (args, out.output,
+                                                out.exception)
+            assert "Traceback" not in out.output
+            assert out.exception is None or isinstance(out.exception,
+                                                       SystemExit)

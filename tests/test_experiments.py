@@ -1,11 +1,13 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from semcomp.errors import ValidationError
 from semcomp.experiments import (CSV_HEADER, SweepSpec, emit_csv,
-                                 emit_plotdata, run_sweep, spec_from_config)
+                                 emit_plotdata, read_config, run_sweep)
 from semcomp.resource import LinkModel, OmissionProfile
 
 
@@ -62,6 +64,12 @@ class TestSweep:
             SweepSpec(variable="m_total", grid=[2, 1])
         with pytest.raises(ValidationError):
             SweepSpec(variable="m_total", grid=[1], algorithms=("magic",))
+        for grid in ([math.nan, 1], [math.inf], [1, -math.inf]):
+            with pytest.raises(ValidationError, match="finite"):
+                SweepSpec(variable="m_total", grid=grid)
+        with pytest.raises(ValidationError, match="repeat"):
+            SweepSpec(variable="m_total", grid=[1],
+                      algorithms=("jccpg", "jccpg"))
 
 
 class TestEmit:
@@ -98,16 +106,28 @@ class TestEmit:
         assert all(len(v) == 4 for v in doc["series"].values())
 
 
-def test_spec_from_config_units():
-    spec = spec_from_config(
-        {"bandwidth_mhz": 5, "latency_budget_ms": 2, "p_max_dbm": 20,
-         "q": [0.5], "m_total": 42},
-        "m_total", [10, 20])
+def test_read_config_units(tmp_path):
+    path = tmp_path / "link.yaml"
+    path.write_text("bandwidth_mhz: 5\nlatency_budget_ms: 2\np_max_dbm: 20\n"
+                    "q: [0.5]\nm_total: 42\n")
+    spec = SweepSpec("m_total", [10, 20], **read_config(path))
     assert spec.link.bandwidth_hz == 5e6
     assert spec.link.latency_budget_s == 2e-3
     assert spec.link.p_max_w == pytest.approx(0.1)
     assert spec.q == [0.5]
     assert spec.m_total == 42
+
+
+def test_readme_yaml_blocks_read(tmp_path):
+    """Every ```yaml block of README.md is a config `read_config` accepts."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    assert len(blocks) >= 2
+    for n, block in enumerate(blocks):
+        path = tmp_path / ("block%d.yaml" % n)
+        path.write_text(block, encoding="utf-8")
+        read_config(path)
 
 
 def _unmemoized_load(profile, e):

@@ -106,12 +106,16 @@ class TestOmissionProfile:
                  for _ in range(rng.randint(1, 6))]
             prof = OmissionProfile(m, q)
             breaks = prof._breaks
-            prev = Fraction(0)
+            prev = prev_break = Fraction(0)
             for n, b in enumerate(breaks):
                 # exact agreement between segment-n value at b and the anchor
-                assert prof.load_exact(b) == prof._anchors[n]
+                # summed up from the documented slopes
+                slope = (1 / prof._q[0] if n == 0
+                         else prof._caps[n - 1] / prof._q[n])
+                anchor = prev + (b - prev_break) * slope
+                assert prof.load_exact(b) == anchor
                 assert prof.load_exact(b) >= prev
-                prev = prof._anchors[n]
+                prev, prev_break = anchor, b
             # nondecreasing on a grid
             total = prof.total_omissible
             values = [prof.load(total * i / 20) for i in range(21)]
