@@ -160,8 +160,7 @@ def optimize_cmd(config_path, trace):
     m = cfg["m_total"]
     profile = resource.OmissionProfile(m, cfg["q"])
     result = optimizer.solve(cfg["link"], profile, m, keep_trace=trace)
-    out = {
-        "feasible": result.feasible,
+    numbers = {
         "p_w": result.p_opt,
         "e_omit": result.e_opt,
         "t1_s": result.t1,
@@ -170,6 +169,9 @@ def optimize_cmd(config_path, trace):
         "e2_j": result.e2,
         "e_total_j": result.e_total,
     }
+    if not result.feasible:  # NaN is not JSON: an infeasible solve has none
+        numbers = dict.fromkeys(numbers)
+    out = {"feasible": result.feasible, **numbers}
     if trace and result.trace is not None:
         out["trace"] = [{"e": e, "p_w": p, "e_total_j": total}
                         for e, p, total in result.trace]
@@ -182,7 +184,10 @@ def optimize_cmd(config_path, trace):
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--var", "variable", default="m_total", show_default=True,
-              type=click.Choice(experiments.SWEEP_VARIABLES))
+              type=click.Choice(experiments.SWEEP_VARIABLES),
+              help="Swept quantity; its --grid values are a count for "
+                   "m_total, Hz for bandwidth and seconds for "
+                   "latency_budget.")
 @click.option("--grid", required=True,
               help="Comma-separated, strictly increasing grid values.")
 @click.option("--csv", "csv_path", required=True,

@@ -12,7 +12,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from math import comb
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import (CorruptMessageError, IncompatibleKnowledgeError,
                      MessageDecodeError, SemcompError, ValidationError)
@@ -24,26 +24,21 @@ WIRE_VERSION = 1
 DEFAULT_MAX_ROUND = 2
 
 
-@dataclass(frozen=True)
-class OmissionRecord:
+class OmissionRecord(NamedTuple):
     """One omitted relation: where it goes and which prior triples imply it.
 
     `conditions` are indices into the message's reconstruction order (full
     triples first, then omissions in list order); each referenced triple is
-    reconstructable strictly before this record.
+    reconstructable strictly before this record.  A round-r record conditions
+    on r - 1 triples, so the round is derived, never stored.
     """
     head: int
     tail: int
-    round: int
     conditions: Tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if self.round < 1:
-            raise ValidationError("round must be >= 1")
-        if len(self.conditions) != self.round - 1:
-            raise ValidationError("round %d record needs %d conditions, got %d"
-                                  % (self.round, self.round - 1,
-                                     len(self.conditions)))
+    @property
+    def round(self) -> int:
+        return len(self.conditions) + 1
 
 
 @dataclass
@@ -169,8 +164,8 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
     candidates = [t for t in triples if g.has_triple(t)]
     remaining_total = len(triples)
 
-    # (triple, round, conditions as positions in this list), omission order
-    omitted: List[Tuple[Triple, int, Tuple[int, ...]]] = []
+    # (triple, conditions as positions in this list), omission order
+    omitted: List[Tuple[Triple, Tuple[int, ...]]] = []
 
     # Round 1: unconditional unique-mode relations.
     round1_omitted = 0
@@ -178,7 +173,7 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
     for t in candidates:
         report.comparison_count += len(g.pair(t.head, t.tail).relations)
         if g.round1_verdict(t.head, t.tail) == t.relation:
-            omitted.append((t, 1, ()))
+            omitted.append((t, ()))
             round1_omitted += 1
         else:
             still.append(t)
@@ -193,13 +188,13 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
             cycle += 1
             # The O-set is frozen for this cycle: one bitset per omitted triple.
             cond = ([g.pair_bits(o.head, o.tail)[0][o.relation]
-                     for o, _, _ in omitted] if candidates else [])
+                     for o, _ in omitted] if candidates else [])
             cycle_omitted = 0
             still = []
             for t in candidates:
                 chosen = _first_condition(g, t, cond, width, report)
                 if chosen is not None:
-                    omitted.append((t, round_no, chosen))
+                    omitted.append((t, chosen))
                     cycle_omitted += 1
                 else:
                     still.append(t)
@@ -210,15 +205,15 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
             if cycle_omitted == 0:
                 break
 
-    omitted_set = {t for t, _, _ in omitted}
+    omitted_set = {t for t, _ in omitted}
     full = [t for t in triples if t not in omitted_set]
     offset = len(full)
     # Round-1 records skip the generator: on round-1-only messages it cost
     # about half as much again as building the records.
     records = [
-        OmissionRecord(t.head, t.tail, round_no,
+        OmissionRecord(t.head, t.tail,
                        tuple(offset + i for i in chosen) if chosen else ())
-        for t, round_no, chosen in omitted]
+        for t, chosen in omitted]
     msg = CompressedMessage(g.content_hash, full, records)
     return msg, report
 
@@ -305,18 +300,16 @@ def decode_message(data: bytes) -> CompressedMessage:
     if _message_digest(magic, version, graph_hash, j, e, body) != digest:
         raise MessageDecodeError("message digest mismatch")
 
-    pos = 0
-    full = []
-    for _ in range(j - e):
-        if pos + 12 > len(body):
-            raise MessageDecodeError("truncated full-triple section")
-        h, r, t = struct.unpack_from("<III", body, pos)
-        pos += 12
-        full.append(Triple(h, r, t))
+    n_full = j - e
+    pos = 12 * n_full
+    if pos > len(body):
+        raise MessageDecodeError("truncated full-triple section")
+    full = list(map(Triple._make, struct.iter_unpack("<III", body[:pos])))
     omissions = []
     for i in range(e):
         if pos + 9 > len(body):
             raise MessageDecodeError("truncated omission record")
+        # The round byte only says how many condition indices follow.
         h, t, round_no = struct.unpack_from("<IIB", body, pos)
         pos += 9
         if round_no < 1:
@@ -326,9 +319,9 @@ def decode_message(data: bytes) -> CompressedMessage:
             raise MessageDecodeError("truncated condition list")
         conds = struct.unpack_from("<%dI" % n_cond, body, pos) if n_cond else ()
         pos += 4 * n_cond
-        if any(c >= (j - e) + i for c in conds):
+        if any(c >= n_full + i for c in conds):
             raise MessageDecodeError("forward condition reference")
-        omissions.append(OmissionRecord(h, t, round_no, conditions=tuple(conds)))
+        omissions.append(OmissionRecord(h, t, conds))
     if pos != len(body):
         raise MessageDecodeError("trailing bytes after message body")
     return CompressedMessage(graph_hash, full, omissions)

@@ -40,6 +40,13 @@ class SweepSpec:
             raise ValidationError("sweep grid must be non-empty")
         if not all(math.isfinite(v) for v in self.grid):
             raise ValidationError("sweep grid values must be finite")
+        if self.variable == "m_total":
+            for v in self.grid:
+                try:
+                    as_int(v)
+                except (TypeError, ValueError) as exc:
+                    raise ValidationError("m_total grid value %r is not a "
+                                          "whole count" % v) from exc
         if any(b >= a for a, b in zip(self.grid[1:], self.grid)):
             raise ValidationError("sweep grid must be strictly increasing")
         unknown = set(self.algorithms) - set(ALGORITHMS)
@@ -141,12 +148,15 @@ def read_config(path) -> dict:
     A file that is not UTF-8 YAML holding a flat mapping raises ParseError;
     an unknown key or a bad value raises ValidationError naming the key.
     """
-    # Besides YAMLError, loading lets ValueError out: for a byte that is not
-    # UTF-8, and for a malformed scalar such as `!!int x` or `2020-13-45`.
+    # Besides YAMLError, loading lets ValueError out, for a byte that is not
+    # UTF-8 and for a malformed scalar such as `!!int x` or `2020-13-45`;
+    # AttributeError, KeyError or IndexError for `!!timestamp 1`,
+    # `!!bool maybe` or `!!int ''`; and RecursionError for deep nesting.
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = yaml.safe_load(fh)
-    except (yaml.YAMLError, ValueError) as exc:
+    except (yaml.YAMLError, ValueError, AttributeError, LookupError,
+            RecursionError) as exc:
         raise ParseError("config parse error in %s: %s" % (path, exc)) from exc
     if cfg is None:
         cfg = {}

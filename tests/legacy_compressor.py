@@ -68,7 +68,7 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
         report.comparison_count += len(counts)
         if _unique_max_relation(counts) == t.relation:
             omitted.append(t)
-            records.append(OmissionRecord(t.head, t.tail, 1))
+            records.append(OmissionRecord(t.head, t.tail))
             round1_omitted += 1
         else:
             still.append(t)
@@ -105,7 +105,7 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
                         break
                 if chosen is not None:
                     omitted.append(t)
-                    records.append(OmissionRecord(t.head, t.tail, round_no,
+                    records.append(OmissionRecord(t.head, t.tail,
                                                   conditions=chosen))
                     cycle_omitted += 1
                 else:
@@ -121,7 +121,7 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
     full = [t for t in triples if t not in omitted_set]
     offset = len(full)
     final_records = [
-        OmissionRecord(r.head, r.tail, r.round,
+        OmissionRecord(r.head, r.tail,
                        conditions=tuple(offset + i for i in r.conditions))
         for r in records
     ]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -107,12 +108,20 @@ def test_optimize(runner, workspace):
 
 
 def test_optimize_infeasible_exit_code(runner, tmp_path):
+    def reject(token):
+        raise ValueError("non-JSON number %s" % token)
+
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(CONFIG.replace("latency_budget_ms: 1",
                                   "latency_budget_ms: 1.0e-6")
                    .replace("p_max_dbm: 30", "p_max_dbm: -30"))
-    out = runner.invoke(main, ["optimize", "--config", str(cfg)])
+    out = runner.invoke(main, ["optimize", "--config", str(cfg), "--trace"])
     assert out.exit_code == 3
+    # Strict JSON: an infeasible solve has no numbers, and NaN is not JSON.
+    doc = json.loads(out.stdout, parse_constant=reject)
+    assert doc.pop("feasible") is False
+    assert doc.pop("trace") == []
+    assert set(doc.values()) == {None}
 
 
 def test_sweep(runner, workspace, tmp_path):
@@ -185,6 +194,12 @@ def test_scalar_algorithms_exit_code(runner, tmp_path, value):
 @pytest.mark.parametrize("config", [
     b"m_total: 10\n\xff\n",  # not UTF-8
     b"m_total: 2020-13-45\n",  # a date PyYAML cannot build
+    b"m_total: !!timestamp 1\n",  # AttributeError inside PyYAML
+    b"m_total: !!timestamp 2020-01-01x\n",
+    b"m_total: !!bool maybe\n",  # KeyError inside PyYAML
+    b"m_total: !!int ''\n",  # IndexError inside PyYAML
+    pytest.param(b"m_total: " + b"[" * 5000 + b"]" * 5000 + b"\n",
+                 id="5000 nested lists"),  # RecursionError
 ])
 def test_unreadable_config_exit_code(runner, tmp_path, config):
     cfg = tmp_path / "bad.yaml"
@@ -200,6 +215,7 @@ def test_unreadable_config_exit_code(runner, tmp_path, config):
     ("", "inf"),
     ("", "1e400"),
     ("algorithms: [jccpg, jccpg]\n", "50,100"),
+    ("", "1.5,2.7"),  # M is a count: once solved as 1 and 2
 ])
 def test_bad_sweep_exit_code(runner, tmp_path, extra, grid):
     cfg = tmp_path / "link.yaml"
@@ -316,6 +332,82 @@ def test_config_contract(doc, variable, grid):
             out = runner.invoke(main, args)
             assert out.exit_code in (0, 2, 3), (args, out.output,
                                                 out.exception)
+            assert "Traceback" not in out.output
+            assert out.exception is None or isinstance(out.exception,
+                                                       SystemExit)
+
+
+# Contract, file half: whatever a damaged corpus, `.spgr` or `.scmp` file
+# holds, `build-graph`, `estimate-q`, `compress` and `decompress` exit 0, 2, 3
+# or 4 and raise nothing but SystemExit.  The files come from a corpus whose
+# message keeps a full triple (g, t, h ties g, w, h in every event) beside a
+# round-1 and a round-2 omission, so every section of both formats is there
+# to damage.  Flipping a byte and then recomputing the file's SHA-256 gets the
+# damage past the digest check into the body parsers.
+FILE_CORPUS = [
+    {"sample": 1, "triples": [["a", "r1", "b"], ["c", "s", "d"],
+                              ["g", "t", "h"], ["g", "w", "h"]]},
+    {"sample": 2, "triples": [["a", "r2", "b"], ["x", "u", "y"],
+                              ["g", "t", "h"], ["g", "w", "h"]]},
+    {"sample": 3, "triples": [["a", "r1", "b"], ["c", "s", "d"]]},
+]
+FILE_MESSAGE = {"sample": 1, "triples": [["a", "r2", "b"], ["x", "u", "y"],
+                                         ["g", "t", "h"]]}
+DAMAGED_FILES = ("corpus.jsonl", "message.jsonl", "graph.spgr", "msg.scmp")
+
+
+def _rehash(name, data):
+    """`data` with its digest recomputed, as a writer of that format would."""
+    if name == "graph.spgr":  # magic, version/counts, sha256(body), body
+        return data[:14] + hashlib.sha256(data[46:]).digest() + data[46:]
+    if name == "msg.scmp":  # 46 header bytes, sha256(header + body), body
+        return (data[:46] + hashlib.sha256(data[:46] + data[78:]).digest()
+                + data[78:])
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(DAMAGED_FILES),
+       damage=st.sampled_from(("truncate", "flip", "flip and rehash")),
+       data=st.data())
+def test_file_contract(name, damage, data):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("corpus.jsonl", "w", encoding="utf-8") as fh:
+            fh.write("".join(json.dumps(o) + "\n" for o in FILE_CORPUS))
+        with open("message.jsonl", "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(FILE_MESSAGE) + "\n")
+        for args in (["build-graph", "--corpus", "corpus.jsonl",
+                      "--out", "graph.spgr"],
+                     ["compress", "--graph", "graph.spgr", "--input",
+                      "message.jsonl", "--max-round", "2",
+                      "--out", "msg.scmp"]):
+            assert runner.invoke(main, args).exit_code == 0
+
+        with open(name, "rb") as fh:
+            blob = bytearray(fh.read())
+        at = data.draw(st.integers(0, len(blob) - 1), label="at")
+        if damage == "truncate":
+            del blob[at:]
+        else:
+            blob[at] ^= data.draw(st.integers(1, 255), label="xor")
+            if damage == "flip and rehash":
+                blob = _rehash(name, bytes(blob))
+        with open(name, "wb") as fh:
+            fh.write(blob)
+
+        for args in (["build-graph", "--corpus", "corpus.jsonl",
+                      "--out", "out.spgr"],
+                     ["estimate-q", "--graph", "graph.spgr",
+                      "--corpus", "corpus.jsonl", "--max-round", "3"],
+                     ["compress", "--graph", "graph.spgr", "--input",
+                      "message.jsonl", "--max-round", "3",
+                      "--out", "out.scmp"],
+                     ["decompress", "--graph", "graph.spgr",
+                      "--input", "msg.scmp", "--out", "out.jsonl"]):
+            out = runner.invoke(main, args)
+            assert out.exit_code in (0, 2, 3, 4), (args, out.output,
+                                                   out.exception)
             assert "Traceback" not in out.output
             assert out.exception is None or isinstance(out.exception,
                                                        SystemExit)

@@ -123,8 +123,8 @@ class TestDecompress:
         t_xy = ids(corpus, "x", "u", "y")
         t_ab = ids(corpus, "a", "r2", "b")
         msg = CompressedMessage(g.content_hash, [], [
-            OmissionRecord(t_xy.head, t_xy.tail, 1),
-            OmissionRecord(t_ab.head, t_ab.tail, 2, conditions=(0,)),
+            OmissionRecord(t_xy.head, t_xy.tail),
+            OmissionRecord(t_ab.head, t_ab.tail, conditions=(0,)),
         ])
         assert decompress(g, msg).triple_set() == {t_xy, t_ab}
 
@@ -132,7 +132,7 @@ class TestDecompress:
         corpus = corpus_from_samples([[("a", "r", "b")], [("a", "s", "b")]])
         g = build(corpus)
         msg = CompressedMessage(g.content_hash, [],
-                                [OmissionRecord(0, 1, 1)])
+                                [OmissionRecord(0, 1)])
         with pytest.raises(CorruptMessageError):
             decompress(g, msg)
 
@@ -141,7 +141,7 @@ class TestDecompress:
         a, y = corpus.entities.id_of("a"), corpus.entities.id_of("y")
         for head, tail in ((a, y), (99, 100)):
             msg = CompressedMessage(g.content_hash, [],
-                                    [OmissionRecord(head, tail, 1)])
+                                    [OmissionRecord(head, tail)])
             with pytest.raises(CorruptMessageError):
                 decompress(g, msg)
 
@@ -149,7 +149,7 @@ class TestDecompress:
         corpus, g = toy
         t_ab = ids(corpus, "a", "r2", "b")
         msg = CompressedMessage(g.content_hash, [], [
-            OmissionRecord(t_ab.head, t_ab.tail, 2, conditions=(0,)),
+            OmissionRecord(t_ab.head, t_ab.tail, conditions=(0,)),
         ])
         with pytest.raises(CorruptMessageError):
             decompress(g, msg)

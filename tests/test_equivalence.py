@@ -204,14 +204,14 @@ def test_corrupt_records_raise_like_reference():
     no_relation = Triple(a, rel("u"), b)
     full = [xuy, ety, no_pair, no_relation]
     records = [
-        OmissionRecord(a, b, 2, conditions=(7,)),  # beyond the prefix
-        OmissionRecord(a, f, 1),                   # unknown pair
-        OmissionRecord(a, b, 2, conditions=(1,)),  # event misses the pair
-        OmissionRecord(e, f, 1),                   # tied argmax
-        OmissionRecord(a, b, 2, conditions=(2,)),  # condition pair absent
-        OmissionRecord(a, b, 2, conditions=(3,)),  # condition relation absent
-        OmissionRecord(c, d, 2, conditions=(1,)),  # valid
-        OmissionRecord(a, b, 1),                   # valid
+        OmissionRecord(a, b, conditions=(7,)),  # beyond the prefix
+        OmissionRecord(a, f),                   # unknown pair
+        OmissionRecord(a, b, conditions=(1,)),  # event misses the pair
+        OmissionRecord(e, f),                   # tied argmax
+        OmissionRecord(a, b, conditions=(2,)),  # condition pair absent
+        OmissionRecord(a, b, conditions=(3,)),  # condition relation absent
+        OmissionRecord(c, d, conditions=(1,)),  # valid
+        OmissionRecord(a, b),                   # valid
     ]
     for record in records:
         msg = CompressedMessage(g.content_hash, full, [record])

@@ -24,7 +24,7 @@ def random_message(rng: random.Random, j=None, e=None):
         conds = tuple(sorted(rng.sample(range(prefix), max_round - 1)))
         omissions.append(OmissionRecord(rng.randrange(1000),
                                         rng.randrange(1000),
-                                        max_round, conditions=conds))
+                                        conditions=conds))
     return CompressedMessage(bytes(rng.randrange(256) for _ in range(32)),
                              full, omissions)
 
