@@ -6,7 +6,7 @@ from .errors import (CorruptMessageError, GraphDecodeError,
                      IncompatibleKnowledgeError, MessageDecodeError,
                      PairNotFoundError, ParseError, RelationNotFoundError,
                      SemcompError, UndefinedProbabilityError, ValidationError)
-from .experiments import SweepRow, SweepSpec, emit_csv, emit_plotdata, run_sweep
+from .experiments import SweepRow, SweepSpec, emit_csv, run_sweep
 from .kg import Corpus, Interner, KnowledgeGraph, Triple, dump_corpus, load_corpus
 from .optimizer import (AllocationResult, solve, solve_simplified,
                         solve_traditional)

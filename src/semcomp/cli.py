@@ -192,10 +192,8 @@ def optimize_cmd(config_path, trace):
               help="Comma-separated, strictly increasing grid values.")
 @click.option("--csv", "csv_path", required=True,
               type=click.Path(dir_okay=False))
-@click.option("--plotdata", "plot_path", default=None,
-              type=click.Path(dir_okay=False))
 @_guard
-def sweep_cmd(config_path, variable, grid, csv_path, plot_path):
+def sweep_cmd(config_path, variable, grid, csv_path):
     """Sweep one parameter across all algorithms and emit CSV."""
     fields = experiments.read_config(config_path)
     try:
@@ -205,10 +203,8 @@ def sweep_cmd(config_path, variable, grid, csv_path, plot_path):
     spec = experiments.SweepSpec(variable, values, **fields)
     rows = experiments.run_sweep(spec)
     experiments.emit_csv(rows, csv_path)
-    if plot_path:
-        experiments.emit_plotdata(rows, plot_path)
-    click.echo("wrote %d rows to %s" % (len(rows) * len(spec.algorithms),
-                                        csv_path))
+    click.echo("wrote %d rows to %s"
+               % (len(rows) * len(experiments.ALGORITHMS), csv_path))
 
 
 if __name__ == "__main__":

@@ -158,10 +158,6 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
 
     triples = list(kg.triples)
     report = CompressionReport()
-
-    # Triples whose pair (or relation) is absent from the graph can never be
-    # reconstructed, so they are permanent pass-through full triples.
-    candidates = [t for t in triples if g.has_triple(t)]
     remaining_total = len(triples)
 
     # (triple, conditions as positions in this list), omission order
@@ -170,8 +166,13 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
     # Round 1: unconditional unique-mode relations.
     round1_omitted = 0
     still: List[Triple] = []
-    for t in candidates:
-        report.comparison_count += len(g.pair(t.head, t.tail).relations)
+    for t in triples:
+        quad = g.quadruples.get((t.head, t.tail))
+        # A triple whose pair (or relation) is absent from the graph can never
+        # be reconstructed, so it is a permanent pass-through full triple.
+        if quad is None or all(rid != t.relation for rid, _ in quad.relations):
+            continue
+        report.comparison_count += len(quad.relations)
         if g.round1_verdict(t.head, t.tail) == t.relation:
             omitted.append((t, ()))
             round1_omitted += 1

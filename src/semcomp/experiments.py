@@ -1,8 +1,7 @@
-"""Parameter sweeps over the allocation model, with CSV/JSON emission."""
+"""Parameter sweeps over the allocation model, with CSV emission."""
 
 import csv
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
@@ -30,7 +29,6 @@ class SweepSpec:
     link: LinkModel = field(default_factory=LinkModel)
     q: Sequence[float] = DEFAULT_Q
     m_total: int = DEFAULT_M_TOTAL
-    algorithms: Sequence[str] = ALGORITHMS
 
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
@@ -49,12 +47,6 @@ class SweepSpec:
                                           "whole count" % v) from exc
         if any(b >= a for a, b in zip(self.grid[1:], self.grid)):
             raise ValidationError("sweep grid must be strictly increasing")
-        unknown = set(self.algorithms) - set(ALGORITHMS)
-        if unknown:
-            raise ValidationError("unknown algorithms: %s" % sorted(unknown))
-        if len(set(self.algorithms)) < len(self.algorithms):
-            raise ValidationError("algorithms must not repeat: %s"
-                                  % list(self.algorithms))
 
 
 @dataclass
@@ -73,16 +65,10 @@ def _point(spec: SweepSpec, value) -> SweepRow:
     else:
         link = dataclasses.replace(link, latency_budget_s=float(value))
     profile = OmissionProfile(m, spec.q)
-
-    results = {}
-    for algo in spec.algorithms:
-        if algo == "jccpg":
-            results[algo] = solve(link, profile, m)
-        elif algo == "simplified":
-            results[algo] = solve_simplified(link, profile, m)
-        else:
-            results[algo] = solve_traditional(link, m)
-    return SweepRow(value=value, results=results)
+    return SweepRow(value=value, results={
+        "jccpg": solve(link, profile, m),
+        "simplified": solve_simplified(link, profile, m),
+        "traditional": solve_traditional(link, m)})
 
 
 def run_sweep(spec: SweepSpec) -> List[SweepRow]:
@@ -110,40 +96,18 @@ def emit_csv(rows: List[SweepRow], path):
                                      "", "", "", "", "", "false"])
 
 
-def emit_plotdata(rows: List[SweepRow], path):
-    """x/y series JSON keyed by algorithm; infeasible points become null."""
-    algos = list(rows[0].results) if rows else []
-    series = {}
-    for algo in algos:
-        ys = []
-        for row in rows:
-            result = row.results[algo]
-            ys.append(result.e_total if result.feasible else None)
-        series[algo] = ys
-    payload = {"x": [float(r.value) for r in rows], "series": series}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 def _ratios(value) -> list:
     if not isinstance(value, list):
         raise TypeError("expected a list of omission ratios")
     return [as_float(v) for v in value]
 
 
-def _algorithm_names(value) -> tuple:
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise TypeError("expected a list of algorithm names")
-    return tuple(value) or ALGORITHMS
-
-
-CONFIG_KEYS = (*_LINK_KEYS, "m_total", "q", "algorithms")
+CONFIG_KEYS = (*_LINK_KEYS, "m_total", "q")
 
 
 def read_config(path) -> dict:
-    """The `SweepSpec` fields a flat YAML config sets: `link`, `m_total`,
-    `q` and `algorithms`, each at its default when its keys are absent.
+    """The `SweepSpec` fields a flat YAML config sets: `link`, `m_total` and
+    `q`, each at its default when its keys are absent.
 
     A file that is not UTF-8 YAML holding a flat mapping raises ParseError;
     an unknown key or a bad value raises ValidationError naming the key.
@@ -168,6 +132,4 @@ def read_config(path) -> dict:
                                   % (key, ", ".join(CONFIG_KEYS)))
     return {"link": LinkModel.from_config(cfg),
             "m_total": config_value(cfg, "m_total", as_int, DEFAULT_M_TOTAL),
-            "q": config_value(cfg, "q", _ratios, DEFAULT_Q),
-            "algorithms": config_value(cfg, "algorithms", _algorithm_names,
-                                       ALGORITHMS)}
+            "q": config_value(cfg, "q", _ratios, DEFAULT_Q)}

@@ -107,12 +107,12 @@ class Corpus:
 def _parse_jsonl_line(line, lineno, label_ids):
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting
         raise ParseError("invalid JSON: %s" % exc, line=lineno) from exc
     if not isinstance(obj, dict) or "sample" not in obj or "triples" not in obj:
         raise ParseError("expected object with 'sample' and 'triples'", line=lineno)
     sample_id = obj["sample"]
-    if not isinstance(sample_id, int) or sample_id < 1:
+    if type(sample_id) is not int or sample_id < 1:  # a bool is no id
         raise ParseError("sample id must be a positive integer", line=lineno)
     triples = obj["triples"]
     if not isinstance(triples, list):
@@ -174,10 +174,12 @@ def load_corpus_lines(lines) -> Corpus:
 
     if not raw:
         raise ValidationError("empty corpus")
-    n = max(raw)
-    missing = sorted(set(range(1, n + 1)) - set(raw))
-    if missing:
-        raise ValidationError("gap in sample ids: missing %s" % missing)
+    # The ids are distinct and positive: they run 1..n exactly when the
+    # largest is n, and otherwise one of 1..n+1 is missing.
+    n = len(raw)
+    if max(raw) != n:
+        first = next(i for i in range(1, n + 2) if i not in raw)
+        raise ValidationError("gap in sample ids: %d missing" % first)
 
     corpus = Corpus()
     entities, relations = corpus.entities, corpus.relations

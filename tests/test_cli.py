@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semcomp.cli import main
-from semcomp.experiments import ALGORITHMS, CONFIG_KEYS, SWEEP_VARIABLES
+from semcomp.experiments import CONFIG_KEYS, SWEEP_VARIABLES
 from semcomp.kg import load_corpus
 from semcomp.probgraph import ProbabilityGraph, Quadruple, build
 
@@ -179,16 +179,17 @@ def test_bad_config_value_exit_code(runner, tmp_path, command, replace):
     assert replace[1].split(":")[0] in out.output
 
 
-@pytest.mark.parametrize("value", ["5", "jccpg"])
+@pytest.mark.parametrize("value", ["5", "jccpg", "[jccpg]"])
 def test_scalar_algorithms_exit_code(runner, tmp_path, value):
+    # `algorithms` is not a config key: every sweep prices all three.
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(CONFIG + "algorithms: %s\n" % value)
-    out = runner.invoke(main, ["sweep", "--config", str(cfg),
-                               "--grid", "50,100",
-                               "--csv", str(tmp_path / "s.csv")])
-    assert out.exit_code == 2
-    assert "Traceback" not in out.output
-    assert "algorithms" in out.output
+    csv = str(tmp_path / "s.csv")
+    for args in (["optimize"], ["sweep", "--grid", "50,100", "--csv", csv]):
+        out = runner.invoke(main, args + ["--config", str(cfg)])
+        assert out.exit_code == 2
+        assert "Traceback" not in out.output
+        assert "algorithms" in out.output
 
 
 @pytest.mark.parametrize("config", [
@@ -225,6 +226,17 @@ def test_bad_sweep_exit_code(runner, tmp_path, extra, grid):
     assert out.exit_code == 2
     assert isinstance(out.exception, SystemExit)
     assert "wrote" not in out.output
+
+
+def test_deeply_nested_corpus_exit_code(runner, tmp_path):
+    bad = tmp_path / "nested.jsonl"
+    bad.write_text('{"sample": 1, "triples": %s%s}\n'
+                   % ("[" * 100000, "]" * 100000))
+    out = runner.invoke(main, ["build-graph", "--corpus", str(bad),
+                               "--out", str(tmp_path / "g.spgr")])
+    assert out.exit_code == 2
+    assert isinstance(out.exception, SystemExit)
+    assert "Traceback" not in out.output
 
 
 def test_non_utf8_corpus_exit_code(runner, tmp_path):
@@ -286,8 +298,7 @@ WELL_TYPED = dict(
     p_max_dbm=st.floats(-30, 60),
     bits_per_field=st.integers(1, 64),
     m_total=st.integers(1, 10 ** 4),
-    q=st.lists(st.floats(0, 1, exclude_min=True), max_size=4),
-    algorithms=st.lists(st.sampled_from(ALGORITHMS), max_size=3, unique=True))
+    q=st.lists(st.floats(0, 1, exclude_min=True), max_size=4))
 # Solve cost grows linearly with M and has no bound, so M stays <= 10^4.
 ANY_M_TOTAL = st.one_of(
     st.integers(max_value=10 ** 4), st.floats(max_value=10 ** 4),

@@ -1,4 +1,3 @@
-import json
 import math
 import re
 from pathlib import Path
@@ -6,8 +5,8 @@ from pathlib import Path
 import pytest
 
 from semcomp.errors import ValidationError
-from semcomp.experiments import (CSV_HEADER, SweepSpec, emit_csv,
-                                 emit_plotdata, read_config, run_sweep)
+from semcomp.experiments import (CSV_HEADER, SweepSpec, emit_csv, read_config,
+                                 run_sweep)
 from semcomp.resource import LinkModel, OmissionProfile
 
 
@@ -51,7 +50,7 @@ class TestSweep:
     def test_infeasible_cells_flagged_not_dropped(self):
         link = LinkModel(p_max_w=1e-12, latency_budget_s=1e-5)
         rows = run_sweep(SweepSpec(variable="m_total", grid=[100, 200],
-                                   link=link, algorithms=("jccpg",)))
+                                   link=link))
         assert len(rows) == 2
         assert not any(r.results["jccpg"].feasible for r in rows)
 
@@ -62,14 +61,9 @@ class TestSweep:
             SweepSpec(variable="m_total", grid=[])
         with pytest.raises(ValidationError):
             SweepSpec(variable="m_total", grid=[2, 1])
-        with pytest.raises(ValidationError):
-            SweepSpec(variable="m_total", grid=[1], algorithms=("magic",))
         for grid in ([math.nan, 1], [math.inf], [1, -math.inf]):
             with pytest.raises(ValidationError, match="finite"):
                 SweepSpec(variable="m_total", grid=grid)
-        with pytest.raises(ValidationError, match="repeat"):
-            SweepSpec(variable="m_total", grid=[1],
-                      algorithms=("jccpg", "jccpg"))
 
 
 class TestEmit:
@@ -89,21 +83,12 @@ class TestEmit:
 
     def test_infeasible_csv_row_is_empty(self, tmp_path):
         link = LinkModel(p_max_w=1e-12, latency_budget_s=1e-5)
-        rows = run_sweep(SweepSpec(variable="m_total", grid=[100], link=link,
-                                   algorithms=("jccpg",)))
+        rows = run_sweep(SweepSpec(variable="m_total", grid=[100], link=link))
         path = tmp_path / "out.csv"
         emit_csv(rows, path)
         data_line = path.read_text().strip().split("\n")[1]
         assert data_line.endswith("false")
         assert ",,,," in data_line
-
-    def test_plotdata(self, tmp_path, default_spec):
-        path = tmp_path / "plot.json"
-        emit_plotdata(run_sweep(default_spec), path)
-        doc = json.loads(path.read_text())
-        assert doc["x"] == [50.0, 100.0, 150.0, 200.0]
-        assert set(doc["series"]) == {"jccpg", "simplified", "traditional"}
-        assert all(len(v) == 4 for v in doc["series"].values())
 
 
 def test_read_config_units(tmp_path):

@@ -1,5 +1,7 @@
 import json
 import random
+import re
+import time
 
 import pytest
 
@@ -63,6 +65,20 @@ class TestLoadCorpus:
                 {"sample": 1, "triples": [["a", "r", "b"]]},
                 {"sample": 3, "triples": [["a", "r", "b"]]},
             ))
+
+    def test_huge_sample_id_gap_is_cheap(self):
+        # The check must not build the range of ids up to the largest one.
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="gap") as info:
+            load_corpus_lines(jsonl(
+                {"sample": 10 ** 12, "triples": [["a", "r", "b"]]}))
+        assert time.perf_counter() - start < 1.0
+        assert len(str(info.value)) < 100
+
+    def test_boolean_sample_id_rejected(self):
+        with pytest.raises(ParseError, match="positive integer"):
+            load_corpus_lines(jsonl({"sample": True,
+                                     "triples": [["a", "r", "b"]]}))
 
     def test_duplicate_sample_id(self):
         with pytest.raises(ValidationError, match="duplicate sample"):
@@ -136,11 +152,16 @@ def test_knowledge_graph_rejects_duplicates():
 # -- the label-sharing loader against the reference loader -------------------
 
 def _outcome(load, lines):
-    """Intern tables and per-sample triples, or the error's class and text."""
+    """Intern tables and per-sample triples, or the error's class and text.
+
+    The reference's gap message lists every missing id; the loader's names
+    the first, so a gap compares by that id.
+    """
     try:
         corpus = load(lines)
     except SemcompError as exc:
-        return type(exc), str(exc)
+        gap = re.match(r"gap in sample ids: \D*(\d+)", str(exc))
+        return type(exc), ("gap", int(gap[1])) if gap else str(exc)
     return (corpus.entities.labels(), corpus.relations.labels(),
             [(kg.sample_id, kg.triples) for kg in corpus.samples])
 
