@@ -99,9 +99,9 @@ def _first_condition(g: ProbabilityGraph, t: Triple, cond: List[int],
     n = len(cond)
     if n < width:
         return None
-    rel_bits, union = g.pair_bits(t.head, t.tail)
-    mine = rel_bits[t.relation]
-    others = [b for rid, b in rel_bits.items() if rid != t.relation]
+    bitsets, union = g.pair(t.head, t.tail).bits
+    mine = bitsets[t.relation]
+    others = [b for rid, b in bitsets.items() if rid != t.relation]
     skipped = evaluated = 0
 
     def dominated(prefix):
@@ -140,7 +140,7 @@ def _first_condition(g: ProbabilityGraph, t: Triple, cond: List[int],
         found, skipped = None, comb(n, width)
     else:
         found = walk(0, 0, union)
-    report.comparison_count += (skipped + evaluated) * len(rel_bits)
+    report.comparison_count += (skipped + evaluated) * len(bitsets)
     report.combinations_evaluated += evaluated
     return found
 
@@ -173,7 +173,7 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
         if quad is None or all(rid != t.relation for rid, _ in quad.relations):
             continue
         report.comparison_count += len(quad.relations)
-        if g.round1_verdict(t.head, t.tail) == t.relation:
+        if quad.verdict == t.relation:
             omitted.append((t, ()))
             round1_omitted += 1
         else:
@@ -188,7 +188,7 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
         while True:
             cycle += 1
             # The O-set is frozen for this cycle: one bitset per omitted triple.
-            cond = ([g.pair_bits(o.head, o.tail)[0][o.relation]
+            cond = ([g.pair(o.head, o.tail).bits[0][o.relation]
                      for o, _ in omitted] if candidates else [])
             cycle_omitted = 0
             still = []
@@ -237,7 +237,7 @@ def decompress(g: ProbabilityGraph, msg: CompressedMessage) -> KnowledgeGraph:
                     rec.head, rec.tail, [recon[c] for c in rec.conditions])
                 rid = unique_max_relation(counts)
             else:  # every relation on a pair has a sample: denom >= 1
-                rid, denom = g.round1_verdict(rec.head, rec.tail), 1
+                rid, denom = g.pair(rec.head, rec.tail).verdict, 1
         except SemcompError as exc:
             raise CorruptMessageError(str(exc)) from exc
         if denom == 0:
@@ -263,12 +263,8 @@ def decompress(g: ProbabilityGraph, msg: CompressedMessage) -> KnowledgeGraph:
 #         head u32, tail u32, round u8, (round - 1) u32 condition indices.
 # All integers little-endian.
 
-_HEADER = struct.Struct("<4sH32sII32s")
-
-
-def _message_digest(magic, version, graph_hash, j, e, body):
-    prefix = struct.pack("<4sH32sII", magic, version, graph_hash, j, e)
-    return hashlib.sha256(prefix + body).digest()
+_PREFIX = struct.Struct("<4sH32sII")  # the header up to its digest
+_HEADER = struct.Struct(_PREFIX.format + "32s")
 
 
 def encode_message(msg: CompressedMessage) -> bytes:
@@ -279,12 +275,9 @@ def encode_message(msg: CompressedMessage) -> bytes:
         body.extend(struct.pack("<IIB", rec.head, rec.tail, rec.round))
         for c in rec.conditions:
             body.extend(struct.pack("<I", c))
-    body = bytes(body)
-    digest = _message_digest(WIRE_MAGIC, WIRE_VERSION, msg.graph_hash,
-                             msg.total_triples, len(msg.omissions), body)
-    header = _HEADER.pack(WIRE_MAGIC, WIRE_VERSION, msg.graph_hash,
-                          msg.total_triples, len(msg.omissions), digest)
-    return header + body
+    prefix = _PREFIX.pack(WIRE_MAGIC, WIRE_VERSION, msg.graph_hash,
+                          msg.total_triples, len(msg.omissions))
+    return prefix + hashlib.sha256(prefix + body).digest() + body
 
 
 def decode_message(data: bytes) -> CompressedMessage:
@@ -298,7 +291,7 @@ def decode_message(data: bytes) -> CompressedMessage:
     if e > j:
         raise MessageDecodeError("omission count exceeds triple count")
     body = data[_HEADER.size:]
-    if _message_digest(magic, version, graph_hash, j, e, body) != digest:
+    if hashlib.sha256(data[:_PREFIX.size] + body).digest() != digest:
         raise MessageDecodeError("message digest mismatch")
 
     n_full = j - e

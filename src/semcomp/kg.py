@@ -140,8 +140,10 @@ def _parse_tsv_line(line, lineno, label_ids):
         sample_id = int(parts[0])
     except ValueError as exc:
         raise ParseError("sample id must be an integer", line=lineno) from exc
-    if sample_id < 1:
-        raise ParseError("sample id must be positive", line=lineno)
+    # Only the id's own decimal form: int() also takes "1_0", "+2", " 3",
+    # "04" and non-ASCII digits.
+    if sample_id < 1 or str(sample_id) != parts[0]:
+        raise ParseError("sample id must be a positive integer", line=lineno)
     return sample_id, [tuple(label_ids.setdefault(x, len(label_ids))
                              for x in parts[1:])]
 

@@ -10,6 +10,7 @@ import json
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
@@ -23,6 +24,11 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class Quadruple:
+    """One (head, tail) pair's state: its relations and what they imply.
+
+    `bits` and `verdict` are derived from `relations` on first use and kept
+    on the quadruple, so a pair no query touches holds neither.
+    """
     head: int
     tail: int
     # (relation id, sorted tuple of supporting sample ids), sorted by relation
@@ -33,6 +39,24 @@ class Quadruple:
             if rid == relation:
                 return samples
         raise _missing_relation(self.head, relation, self.tail)
+
+    @cached_property
+    def bits(self) -> Tuple[Dict[int, int], int]:
+        """({relation: support bitset}, union bitset); bit i is set when
+        sample i supports the relation."""
+        bitsets = {rid: sum(1 << sid for sid in samples)
+                   for rid, samples in self.relations}
+        union = 0
+        for b in bitsets.values():
+            union |= b
+        return bitsets, union
+
+    @cached_property
+    def verdict(self) -> Optional[int]:
+        """The relation a round-1 omission on the pair stands for: the one
+        with the strictly largest unconditional count, or None on a tie."""
+        return unique_max_relation(
+            (rid, len(samples)) for rid, samples in self.relations)
 
 
 def unique_max_relation(counts) -> Optional[int]:
@@ -61,12 +85,6 @@ class ProbabilityGraph:
         self.entities = entities
         self.relations = relations
         self._hash: Optional[bytes] = None
-        # (head, tail) -> ({relation: support bitset}, union bitset), built on
-        # the pair's first `pair_bits` call; bit i set <=> sample i supports.
-        self._bits: Dict[Tuple[int, int], Tuple[Dict[int, int], int]] = {}
-        # (head, tail) -> round-1 verdict, filled on the pair's first
-        # `round1_verdict` call.
-        self._verdicts: Dict[Tuple[int, int], Optional[int]] = {}
 
     @property
     def n_pairs(self) -> int:
@@ -91,22 +109,6 @@ class ProbabilityGraph:
 
     # -- probability queries ------------------------------------------------
 
-    def pair_bits(self, head: int, tail: int) -> Tuple[Dict[int, int], int]:
-        """({relation: support bitset}, union bitset) for one pair.
-
-        Bit i is set when sample i supports the relation.  Built on the
-        pair's first call and cached on the graph.  Raises PairNotFoundError.
-        """
-        bits = self._bits.get((head, tail))
-        if bits is None:
-            rel_bits = {}
-            union = 0
-            for rid, samples in self.pair(head, tail).relations:
-                rel_bits[rid] = sum(1 << sid for sid in samples)
-                union |= rel_bits[rid]
-            bits = self._bits[(head, tail)] = (rel_bits, union)
-        return bits
-
     def relation_counts(self, head: int, tail: int, given=()
                         ) -> Tuple[List[Tuple[int, int]], int]:
         """Integer count per relation on the pair, and the denominator.
@@ -127,29 +129,15 @@ class ProbabilityGraph:
                 counts.append((rid, len(samples)))
                 total += len(samples)
             return counts, total
-        rel_bits, event = self.pair_bits(head, tail)
+        bitsets, event = self.pair(head, tail).bits
         for g_triple in given:
-            g_bits = self.pair_bits(g_triple.head, g_triple.tail)[0].get(
+            g_set = self.pair(g_triple.head, g_triple.tail).bits[0].get(
                 g_triple.relation)
-            if g_bits is None:
+            if g_set is None:
                 raise _missing_relation(*g_triple)
-            event &= g_bits
-        return ([(rid, (event & b).bit_count()) for rid, b in rel_bits.items()],
+            event &= g_set
+        return ([(rid, (event & b).bit_count()) for rid, b in bitsets.items()],
                 event.bit_count())
-
-    def round1_verdict(self, head: int, tail: int) -> Optional[int]:
-        """The relation a round-1 omission on the pair stands for.
-
-        That is the relation with the strictly largest unconditional count,
-        or None on a tie.  It depends on the pair alone, so it is computed
-        from `relation_counts` on the pair's first call and cached on the
-        graph.  Raises PairNotFoundError.
-        """
-        pair = (head, tail)
-        if pair not in self._verdicts:
-            self._verdicts[pair] = unique_max_relation(
-                self.relation_counts(head, tail)[0])
-        return self._verdicts[pair]
 
     def prob(self, head: int, relation: int, tail: int) -> Fraction:
         """Unconditional relation probability |N_r| / sum over the pair."""
@@ -234,6 +222,8 @@ class ProbabilityGraph:
         if hashlib.sha256(body).digest() != digest:
             raise GraphDecodeError("content hash mismatch")
 
+        # Only the bytes `to_bytes` writes for a built graph are accepted, so
+        # a loaded graph re-saves to the same bytes and content hash.
         def take_table():
             (count,) = struct.unpack("<I", take(4))
             labels = []
@@ -243,18 +233,40 @@ class ProbabilityGraph:
                     labels.append(bytes(take(ln)).decode("utf-8"))
                 except UnicodeDecodeError as exc:
                     raise GraphDecodeError("invalid label encoding") from exc
+            # Interning would drop a repeat and strip padding, moving ids.
+            if (len(set(labels)) != len(labels)
+                    or any(not lb or lb != lb.strip() for lb in labels)):
+                raise GraphDecodeError(
+                    "labels must be distinct, non-empty and unpadded")
             return Interner(labels)
 
         entities = take_table()
         relations = take_table()
+        n_entities, n_relations = len(entities), len(relations)
         quadruples = {}
+        prev_pair = (-1, -1)
         for _ in range(n_pairs):
             head, tail, n_rel = struct.unpack("<III", take(12))
+            pair = (head, tail)
+            if pair <= prev_pair:
+                raise GraphDecodeError(
+                    "pairs must strictly increase in (head, tail)")
+            if head >= n_entities or tail >= n_entities:
+                raise GraphDecodeError("entity id beyond the entity table")
+            if not n_rel:
+                raise GraphDecodeError("pair without a relation")
+            prev_pair = pair
             rels = []
             for _ in range(n_rel):
                 rid, n_sup = struct.unpack("<II", take(8))
                 if not n_sup:  # round-1 verdicts assume a nonzero total
                     raise GraphDecodeError("relation without a sample")
+                if rels and rid <= rels[-1][0]:
+                    raise GraphDecodeError(
+                        "relation ids must strictly increase within a pair")
+                if rid >= n_relations:
+                    raise GraphDecodeError(
+                        "relation id beyond the relation table")
                 deltas = struct.unpack("<%dI" % n_sup, take(4 * n_sup))
                 # A zero delta would repeat an id (the counts would then
                 # disagree with the bitsets) or, first, admit sample id 0.
@@ -265,7 +277,7 @@ class ProbabilityGraph:
                 if samples[-1] > n_samples:  # also bounds its bitset's width
                     raise GraphDecodeError("sample id beyond the sample count")
                 rels.append((rid, samples))
-            quadruples[(head, tail)] = Quadruple(head, tail, tuple(rels))
+            quadruples[pair] = Quadruple(head, tail, tuple(rels))
         if pos != len(view):
             raise GraphDecodeError("trailing bytes after graph body")
         graph = cls(quadruples, n_samples, entities, relations)

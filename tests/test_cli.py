@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -8,10 +12,16 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semcomp
+from semcomp import kg
 from semcomp.cli import main
+from semcomp.compressor import decode_message
+from semcomp.errors import GraphDecodeError
 from semcomp.experiments import CONFIG_KEYS, SWEEP_VARIABLES
 from semcomp.kg import load_corpus
 from semcomp.probgraph import ProbabilityGraph, Quadruple, build
+
+from conftest import random_corpus
 
 CORPUS_LINES = [
     {"sample": 1, "triples": [["a", "r1", "b"], ["c", "s", "d"]]},
@@ -406,6 +416,13 @@ def test_file_contract(name, damage, data):
                 blob = _rehash(name, bytes(blob))
         with open(name, "wb") as fh:
             fh.write(blob)
+        if name == "graph.spgr":  # an accepted file is one to_bytes writes
+            try:
+                graph = ProbabilityGraph.from_bytes(bytes(blob))
+            except GraphDecodeError:
+                pass
+            else:
+                assert graph.to_bytes() == blob
 
         for args in (["build-graph", "--corpus", "corpus.jsonl",
                       "--out", "out.spgr"],
@@ -422,3 +439,41 @@ def test_file_contract(name, damage, data):
             assert "Traceback" not in out.output
             assert out.exception is None or isinstance(out.exception,
                                                        SystemExit)
+
+
+def test_message_crosses_processes(tmp_path):
+    """The BS and the user are separate processes with their own string-hash
+    seeds: the graph and the message they write must not depend on it."""
+    corpus = random_corpus(random.Random(23), n_samples=15, n_entities=8)
+    largest = max(corpus.samples, key=len)
+    message = kg.Corpus([kg.KnowledgeGraph(largest.triples, sample_id=1)],
+                        corpus.entities, corpus.relations)
+    kg.dump_corpus(corpus, tmp_path / "corpus.jsonl")
+    kg.dump_corpus(message, tmp_path / "message.jsonl")
+    src = os.path.dirname(os.path.dirname(semcomp.__file__))
+
+    def run(seed, *args):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "semcomp.cli", *args],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    for seed, out in ((1, "a.spgr"), (2, "b.spgr")):
+        run(seed, "build-graph", "--corpus", "corpus.jsonl", "--out", out)
+    assert ((tmp_path / "a.spgr").read_bytes()
+            == (tmp_path / "b.spgr").read_bytes())
+    for seed, out in ((3, "a.scmp"), (4, "b.scmp")):
+        run(seed, "compress", "--graph", "a.spgr", "--input", "message.jsonl",
+            "--max-round", "3", "--out", out)
+    sent = (tmp_path / "a.scmp").read_bytes()
+    assert sent == (tmp_path / "b.scmp").read_bytes()
+    assert any(rec.round > 1 for rec in decode_message(sent).omissions)
+    run(5, "decompress", "--graph", "b.spgr", "--input", "a.scmp",
+        "--out", "restored.jsonl")
+
+    def labelled(c):
+        return {(c.entities.label(t.head), c.relations.label(t.relation),
+                 c.entities.label(t.tail)) for t in c.sample(1).triples}
+    assert labelled(load_corpus(tmp_path / "restored.jsonl")) == labelled(
+        message)

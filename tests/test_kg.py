@@ -100,6 +100,11 @@ class TestLoadCorpus:
                 {"sample": 1, "triples": [["a", "r", "b"], ["a", "r", "b"]]},
             ))
 
+    @pytest.mark.parametrize("sample_id", ["1_0", "+2", "\u0661", " 3", "04"])
+    def test_tsv_sample_id_in_plain_decimal(self, sample_id):
+        with pytest.raises(ParseError, match="positive integer"):
+            load_corpus_lines(["%s\ta\tr\tb" % sample_id])
+
     def test_tsv_format(self):
         corpus = load_corpus_lines([
             "1\ta\tr\tb",

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import struct
@@ -192,12 +193,18 @@ class TestDistribution:
             g.relation_distribution(5, 6)
 
 
+def _verdicts(g):
+    """The pairs whose quadruple holds its verdict, and the verdict."""
+    return {pair: q.__dict__["verdict"] for pair, q in g.quadruples.items()
+            if "verdict" in q.__dict__}
+
+
 class TestRound1Verdict:
     def test_not_filled_by_build_or_from_bytes(self, rng):
         g = build(random_corpus(rng, n_samples=6))
         blob = g.to_bytes()
-        assert g._verdicts == {}
-        assert ProbabilityGraph.from_bytes(blob)._verdicts == {}
+        assert _verdicts(g) == {}
+        assert _verdicts(ProbabilityGraph.from_bytes(blob)) == {}
 
     def test_matches_counting_oracle(self, rng):
         for _ in range(15):
@@ -210,22 +217,22 @@ class TestRound1Verdict:
                 top = max(counts)
                 expected = (rels[counts.index(top)]
                             if counts.count(top) == 1 else None)
-                assert g.round1_verdict(h, t) == expected
-                assert g._verdicts[(h, t)] == expected
-            assert len(g._verdicts) == g.n_pairs
+                assert g.pair(h, t).verdict == expected
+                assert _verdicts(g)[(h, t)] == expected
+            assert len(_verdicts(g)) == g.n_pairs
 
     def test_tie_is_none(self):
         corpus = corpus_from_samples([[("a", "r", "b")], [("a", "s", "b")]])
         g = build(corpus)
         head, tail = corpus.entities.id_of("a"), corpus.entities.id_of("b")
-        assert g.round1_verdict(head, tail) is None
-        assert g._verdicts == {(head, tail): None}
+        assert g.pair(head, tail).verdict is None
+        assert _verdicts(g) == {(head, tail): None}
 
     def test_unknown_pair(self):
         g = build(corpus_from_samples([[("a", "r", "b")]]))
         with pytest.raises(PairNotFoundError):
-            g.round1_verdict(1, 0)
-        assert g._verdicts == {}
+            g.pair(1, 0).verdict
+        assert _verdicts(g) == {}
 
     def test_has_triple_absent_pair_or_relation(self):
         corpus = corpus_from_samples([[("a", "r", "b"), ("b", "s", "a")]])
@@ -234,7 +241,28 @@ class TestRound1Verdict:
         assert not g.has_triple(ids(corpus, "a", "s", "b"))  # no relation
         assert not g.has_triple(ids(corpus, "a", "r", "a"))  # no pair
         assert not g.has_triple(Triple(7, 0, 9))  # ids beyond the tables
-        assert g._verdicts == {}  # a membership test, not a verdict
+        assert _verdicts(g) == {}  # a membership test, not a verdict
+
+
+def _spgr(entities, relations, pairs, n_samples=2):
+    """A `.spgr` file holding the tables and (head, tail, [(relation,
+    samples), ...]) pairs exactly as given, in order, with a valid digest."""
+    body = bytearray()
+    for table in (entities, relations):
+        body += struct.pack("<I", len(table))
+        for label in table:
+            raw = label.encode("utf-8")
+            body += struct.pack("<I", len(raw)) + raw
+    for head, tail, rels in pairs:
+        body += struct.pack("<III", head, tail, len(rels))
+        for rid, samples in rels:
+            deltas = [b - a for a, b in zip((0,) + samples, samples)]
+            body += struct.pack("<II%dI" % len(samples), rid, len(samples),
+                                *deltas)
+    return (probgraph.FORMAT_MAGIC
+            + struct.pack("<HII", probgraph.FORMAT_VERSION, n_samples,
+                          len(pairs))
+            + hashlib.sha256(bytes(body)).digest() + bytes(body))
 
 
 class TestSerialization:
@@ -315,6 +343,38 @@ class TestSerialization:
         crafted = ProbabilityGraph({(0, 1): quad}, 2, g.entities, g.relations)
         with pytest.raises(GraphDecodeError, match="strictly increase"):
             ProbabilityGraph.from_bytes(crafted.to_bytes())
+
+    def test_spgr_writer_matches_to_bytes(self):
+        corpus = corpus_from_samples([[("a", "r", "b"), ("b", "s", "a")],
+                                      [("a", "s", "b")]])
+        assert build(corpus).to_bytes() == _spgr(
+            ["a", "b"], ["r", "s"],
+            [(0, 1, [(0, (1,)), (1, (2,))]), (1, 0, [(1, (1,))])])
+
+    @pytest.mark.parametrize("entities, relations, pairs, message", [
+        (["a", "b"], ["r"], [(1, 0, [(0, (1,))]), (0, 1, [(0, (2,))])],
+         "pairs must strictly increase"),
+        (["a", "b"], ["r"], [(0, 1, [(0, (1,))]), (0, 1, [(0, (2,))])],
+         "pairs must strictly increase"),
+        (["a", "b"], ["r", "s"], [(0, 1, [(1, (1,)), (0, (2,))])],
+         "relation ids must strictly increase"),
+        (["a", "b"], ["r"], [(0, 1, [(0, (1,)), (0, (2,))])],
+         "relation ids must strictly increase"),
+        (["a", "b"], ["r"], [(0, 2, [(0, (1,))])], "entity id beyond"),
+        (["a", "b"], ["r"], [(2, 0, [(0, (1,))])], "entity id beyond"),
+        (["a", "b"], ["r"], [(0, 1, [(1, (1,))])], "relation id beyond"),
+        (["a", "b"], ["r"], [(0, 1, [])], "pair without a relation"),
+        (["a", ""], ["r"], [(0, 1, [(0, (1,))])], "labels must be"),
+        (["a", "b"], [" r"], [(0, 1, [(0, (1,))])], "labels must be"),
+        (["a", "b", "a"], ["r"], [(0, 1, [(0, (1,))])], "labels must be"),
+    ], ids=["pairs-unordered", "pair-repeated", "relations-unordered",
+            "relation-repeated", "tail-beyond-table", "head-beyond-table",
+            "relation-beyond-table", "pair-empty", "label-empty",
+            "label-padded", "label-repeated"])
+    def test_non_canonical_rejected(self, entities, relations, pairs,
+                                    message):
+        with pytest.raises(GraphDecodeError, match=message):
+            ProbabilityGraph.from_bytes(_spgr(entities, relations, pairs))
 
     def test_file_roundtrip(self, tmp_path, rng):
         corpus = random_corpus(rng, n_samples=4)
