@@ -18,13 +18,25 @@ EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
 
+def _echo(message, stream="stdout"):
+    """click.echo to the current standard stream, named explicitly.
+
+    Without `file=`, click caches a text wrapper per `sys.stdout` object in a
+    WeakKeyDictionary whose value refers back to its key, so every stream it
+    ever wrote to stays alive: each in-process (CliRunner) invocation's
+    captured output would live as long as the process.  `errors=None` picks
+    the stream that default would pick.
+    """
+    click.echo(message, file=click.get_text_stream(stream, errors=None))
+
+
 def _guard(fn):
     """Report a library or I/O error as `error: ...` and its exit code."""
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except (SemcompError, OSError) as exc:
-            click.echo("error: %s" % exc, err=True)
+            _echo("error: %s" % exc, "stderr")
             sys.exit(EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION)
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__
@@ -46,8 +58,8 @@ def build_graph(corpus_path, out_path):
     corpus = kg.load_corpus(corpus_path)
     graph = probgraph.build(corpus)
     graph.save(out_path)
-    click.echo("graph: %d pairs, %d samples, hash %s"
-               % (graph.n_pairs, graph.n_samples, graph.content_hash.hex()[:16]))
+    _echo("graph: %d pairs, %d samples, hash %s"
+          % (graph.n_pairs, graph.n_samples, graph.content_hash.hex()[:16]))
 
 
 def _load_single_sample(path):
@@ -94,9 +106,8 @@ def compress_cmd(graph_path, input_path, max_round, out_path, report_path):
     msg, report = compressor.compress(graph, message_kg, max_round=max_round)
     with open(out_path, "wb") as fh:
         fh.write(compressor.encode_message(msg))
-    click.echo("compressed %d triples: %d omitted, %d comparisons"
-               % (msg.total_triples, len(msg.omissions),
-                  report.comparison_count))
+    _echo("compressed %d triples: %d omitted, %d comparisons"
+          % (msg.total_triples, len(msg.omissions), report.comparison_count))
     if report_path:
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump({
@@ -125,7 +136,7 @@ def decompress_cmd(graph_path, input_path, out_path):
                        entities=kg.Interner(graph.entities.labels()),
                        relations=kg.Interner(graph.relations.labels()))
     kg.dump_corpus(corpus, out_path)
-    click.echo("reconstructed %d triples" % len(result))
+    _echo("reconstructed %d triples" % len(result))
 
 
 @main.command("estimate-q")
@@ -141,7 +152,7 @@ def estimate_q_cmd(graph_path, corpus_path, max_round):
     graph = probgraph.ProbabilityGraph.load(graph_path)
     corpus = kg.load_corpus(corpus_path)
     profile = resource.estimate_q(graph, corpus, max_round=max_round)
-    click.echo(json.dumps({
+    _echo(json.dumps({
         "m_total": profile.m_total,
         "q": profile.q,
         "e_caps": profile.e_caps,
@@ -175,7 +186,7 @@ def optimize_cmd(config_path, trace):
     if trace and result.trace is not None:
         out["trace"] = [{"e": e, "p_w": p, "e_total_j": total}
                         for e, p, total in result.trace]
-    click.echo(json.dumps(out, indent=2))
+    _echo(json.dumps(out, indent=2))
     if not result.feasible:
         sys.exit(EXIT_INFEASIBLE)
 
@@ -203,8 +214,8 @@ def sweep_cmd(config_path, variable, grid, csv_path):
     spec = experiments.SweepSpec(variable, values, **fields)
     rows = experiments.run_sweep(spec)
     experiments.emit_csv(rows, csv_path)
-    click.echo("wrote %d rows to %s"
-               % (len(rows) * len(experiments.ALGORITHMS), csv_path))
+    _echo("wrote %d rows to %s"
+          % (len(rows) * len(experiments.ALGORITHMS), csv_path))
 
 
 if __name__ == "__main__":

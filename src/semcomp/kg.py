@@ -65,7 +65,9 @@ class KnowledgeGraph:
     sample_id: Optional[int] = None
 
     def __post_init__(self):
-        seen = set()
+        if len(set(self.triples)) == len(self.triples):
+            return
+        seen = set()  # name the first repeat
         for t in self.triples:
             if t in seen:
                 raise ValidationError(
@@ -104,7 +106,22 @@ class Corpus:
         return sum(len(kg) for kg in self.samples)
 
 
-def _parse_jsonl_line(line, lineno, label_ids):
+class _InternMemo(dict):
+    """Label as written -> its id in `table`, interned on first lookup."""
+
+    def __init__(self, table: Interner):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, label):
+        id_ = self[label] = self.table.intern(label)
+        return id_
+
+
+_BAD_TRIPLE = "each triple must be [head, relation, tail] strings"
+
+
+def _parse_jsonl_line(line, lineno, triple_ids):
     try:
         obj = json.loads(line)
     except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting
@@ -119,19 +136,26 @@ def _parse_jsonl_line(line, lineno, label_ids):
         raise ParseError("'triples' must be a list", line=lineno)
     out = []
     for entry in triples:
-        if not (isinstance(entry, list) and len(entry) == 3
-                and isinstance(entry[0], str) and isinstance(entry[1], str)
-                and isinstance(entry[2], str)):
-            raise ParseError("each triple must be [head, relation, tail] strings",
-                             line=lineno)
-        h, r, t = entry
-        out.append((label_ids.setdefault(h, len(label_ids)),
-                    label_ids.setdefault(r, len(label_ids)),
-                    label_ids.setdefault(t, len(label_ids))))
+        # The list check runs every time: "abc" would match the key
+        # ("a", "b", "c").  Only an entry that passed the rest is a key, so a
+        # repeat costs one lookup.
+        if not isinstance(entry, list):
+            raise ParseError(_BAD_TRIPLE, line=lineno)
+        key = tuple(entry)
+        try:
+            tid = triple_ids.get(key)
+        except TypeError:  # an unhashable label: a list or an object
+            tid = None
+        if tid is None:
+            if not (len(key) == 3 and isinstance(key[0], str)
+                    and isinstance(key[1], str) and isinstance(key[2], str)):
+                raise ParseError(_BAD_TRIPLE, line=lineno)
+            tid = triple_ids[key] = len(triple_ids)
+        out.append(tid)
     return sample_id, out
 
 
-def _parse_tsv_line(line, lineno, label_ids):
+def _parse_tsv_line(line, lineno, triple_ids):
     parts = line.split("\t")
     if len(parts) != 4:
         raise ParseError("expected sample<TAB>head<TAB>relation<TAB>tail",
@@ -144,17 +168,17 @@ def _parse_tsv_line(line, lineno, label_ids):
     # "04" and non-ASCII digits.
     if sample_id < 1 or str(sample_id) != parts[0]:
         raise ParseError("sample id must be a positive integer", line=lineno)
-    return sample_id, [tuple(label_ids.setdefault(x, len(label_ids))
-                             for x in parts[1:])]
+    return sample_id, [triple_ids.setdefault(tuple(parts[1:]),
+                                             len(triple_ids))]
 
 
 def load_corpus_lines(lines) -> Corpus:
     """Build a Corpus from JSONL or TSV lines (format sniffed per file)."""
-    # Each distinct label string, as written, gets one provisional id on
-    # first sight, so the whole file is held as small tuples of shared ids
-    # rather than one string per label occurrence.
-    label_ids = {}
-    raw = {}  # sample id -> list of (h, r, t) provisional ids
+    # Each distinct label triple, as written, gets one provisional id on
+    # first sight, so the file is held as one int per triple occurrence and
+    # the labels of a repeated triple are neither checked nor kept again.
+    triple_ids = {}  # (head, relation, tail) labels -> provisional id
+    raw = {}  # sample id -> list of provisional triple ids
     fmt = None
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
@@ -166,12 +190,12 @@ def load_corpus_lines(lines) -> Corpus:
         elif fmt != line_fmt:
             raise ParseError("mixed JSONL and TSV lines", line=lineno)
         if fmt == "jsonl":
-            sample_id, triples = _parse_jsonl_line(line, lineno, label_ids)
+            sample_id, triples = _parse_jsonl_line(line, lineno, triple_ids)
             if sample_id in raw:
                 raise ValidationError("duplicate sample id %d" % sample_id)
             raw[sample_id] = triples
         else:
-            sample_id, triples = _parse_tsv_line(line, lineno, label_ids)
+            sample_id, triples = _parse_tsv_line(line, lineno, triple_ids)
             raw.setdefault(sample_id, []).extend(triples)
 
     if not raw:
@@ -184,26 +208,19 @@ def load_corpus_lines(lines) -> Corpus:
         raise ValidationError("gap in sample ids: %d missing" % first)
 
     corpus = Corpus()
-    entities, relations = corpus.entities, corpus.relations
-    labels = list(label_ids)  # provisional id -> label
-    entity_of = [None] * len(labels)  # provisional id -> entity id, once seen
-    relation_of = [None] * len(labels)
-    triple_of = {}  # provisional (h, r, t) -> its Triple, shared by samples
+    entity_of = _InternMemo(corpus.entities)
+    relation_of = _InternMemo(corpus.relations)
+    labels = list(triple_ids)  # provisional id -> label triple
+    triple_of = [None] * len(labels)  # provisional id -> Triple, once seen
     # Interning follows sample-id order so the assignment is reproducible
     # regardless of how the file orders its lines.
     for sample_id in range(1, n + 1):
         triples = []
-        for key in raw[sample_id]:
-            triple = triple_of.get(key)
+        for tid in raw[sample_id]:
+            triple = triple_of[tid]
             if triple is None:
-                h, r, t = key
-                if entity_of[h] is None:
-                    entity_of[h] = entities.intern(labels[h])
-                if relation_of[r] is None:
-                    relation_of[r] = relations.intern(labels[r])
-                if entity_of[t] is None:
-                    entity_of[t] = entities.intern(labels[t])
-                triple = triple_of[key] = Triple(entity_of[h], relation_of[r],
+                h, r, t = labels[tid]
+                triple = triple_of[tid] = Triple(entity_of[h], relation_of[r],
                                                  entity_of[t])
             triples.append(triple)
         corpus.samples.append(KnowledgeGraph(triples, sample_id=sample_id))

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .errors import ValidationError
-from .resource import (LinkModel, OmissionProfile, comm_latency, comp_latency,
-                       energies, payload_bits)
+from .resource import (LinkModel, OmissionProfile, _comp_seconds, _energies,
+                       comm_latency, payload_bits)
 
 
 @dataclass
@@ -60,14 +60,16 @@ def _solve_range(link: LinkModel, profile: OmissionProfile, m: int,
     best = None  # ((e_total, e, p), t2, e1, e2) of the best E so far
     trace = [] if keep_trace else None
     for e in range(0, e_hi + 1):
-        t2 = comp_latency(link, profile, e)
+        load = profile.load(e)  # read once per E, like the payload
+        t2 = _comp_seconds(link, load)
         t_remaining = link.latency_budget_s - t2
         if not math.isfinite(t2) or t_remaining <= 0:
             continue
-        p = power_for_latency(link, payload_bits(link, m, e), t_remaining)
+        bits = payload_bits(link, m, e)
+        p = power_for_latency(link, bits, t_remaining)
         if p > link.p_max_w:
             continue
-        e1, e2 = energies(link, profile, m, e, p)
+        e1, e2 = _energies(link, bits, load, p)
         total = e1 + e2
         if keep_trace:
             trace.append((e, p, total))

@@ -6,8 +6,8 @@ ratios (fractions.Fraction) so argmax comparisons are tie-exact.
 """
 
 import hashlib
-import json
 import struct
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -95,11 +95,6 @@ class ProbabilityGraph:
         if quad is None:
             raise PairNotFoundError("no quadruple for pair (%d, %d)" % (head, tail))
         return quad
-
-    def has_triple(self, triple: Triple) -> bool:
-        quad = self.quadruples.get((triple.head, triple.tail))
-        return quad is not None and any(
-            rid == triple.relation for rid, _ in quad.relations)
 
     @property
     def content_hash(self) -> bytes:
@@ -293,36 +288,25 @@ class ProbabilityGraph:
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
 
-    def to_json(self) -> str:
-        """Debug export mirroring the binary content."""
-        return json.dumps({
-            "version": FORMAT_VERSION,
-            "n_samples": self.n_samples,
-            "content_hash": self.content_hash.hex(),
-            "entities": self.entities.labels(),
-            "relations": self.relations.labels(),
-            "quadruples": [
-                {"head": q.head, "tail": q.tail,
-                 "relations": [[rid, list(s)] for rid, s in q.relations]}
-                for (_, _), q in sorted(self.quadruples.items())
-            ],
-        }, indent=2)
-
 
 def build(corpus: Corpus) -> ProbabilityGraph:
     """Merge a corpus into the shared probability graph."""
     if corpus.n_samples == 0 or corpus.n_triples() == 0:
         raise ValidationError("cannot build probability graph from empty corpus")
-    supports: Dict[Tuple[int, int], Dict[int, set]] = {}
+    # Sample ids per distinct triple, then the triples grouped by pair: the
+    # per-occurrence work is one dict lookup and one append.
+    supports: Dict[Triple, List[int]] = defaultdict(list)
     for kg in corpus.samples:
+        sample_id = kg.sample_id
         for triple in kg.triples:
-            pair = supports.setdefault((triple.head, triple.tail), {})
-            pair.setdefault(triple.relation, set()).add(kg.sample_id)
+            supports[triple].append(sample_id)
 
-    quadruples = {}
-    for (head, tail), rels in supports.items():
-        packed = tuple((rid, tuple(sorted(rels[rid]))) for rid in sorted(rels))
-        quadruples[(head, tail)] = Quadruple(head, tail, packed)
+    pairs: Dict[Tuple[int, int], list] = {}  # in first-occurrence order
+    for (head, relation, tail), samples in supports.items():
+        pairs.setdefault((head, tail), []).append(
+            (relation, tuple(sorted(set(samples)))))
+    quadruples = {pair: Quadruple(*pair, tuple(sorted(rels)))
+                  for pair, rels in pairs.items()}
     return ProbabilityGraph(quadruples, corpus.n_samples,
                             Interner(corpus.entities.labels()),
                             Interner(corpus.relations.labels()))

@@ -3,7 +3,8 @@
 test_equivalence.py.
 
 The bodies are the replaced code unchanged, except that the deleted
-`Quadruple.union_support()` is the local `_union_support(quad)` below.
+`Quadruple.union_support()` and `ProbabilityGraph.has_triple()` are the
+local `_union_support(quad)` and `_has_triple(g, triple)` below.
 Only the message and report dataclasses are shared with semcomp, so the
 oracle's output can be encoded with the same wire codec.
 """
@@ -25,6 +26,12 @@ def _union_support(quad):
     for _, samples in quad.relations:
         members.update(samples)
     return tuple(sorted(members))
+
+
+def _has_triple(g, triple):
+    quad = g.quadruples.get((triple.head, triple.tail))
+    return quad is not None and any(
+        rid == triple.relation for rid, _ in quad.relations)
 
 
 def _unique_max_relation(counts) -> Optional[int]:
@@ -53,7 +60,7 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
 
     # Triples whose pair (or relation) is absent from the graph can never be
     # reconstructed, so they are permanent pass-through full triples.
-    candidates = [t for t in triples if g.has_triple(t)]
+    candidates = [t for t in triples if _has_triple(g, t)]
     remaining_total = len(triples)
 
     omitted: List[Triple] = []          # omission order

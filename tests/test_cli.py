@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -115,6 +117,27 @@ def test_optimize(runner, workspace):
     assert doc["feasible"]
     assert doc["e_total_j"] > 0
     assert doc["trace"]
+
+
+def test_invocations_leave_no_captured_stream_alive(runner, workspace):
+    """Each in-process invocation's captured stdout and stderr can be freed
+    once it returns: none is kept alive by a stream cache."""
+    def captured():
+        return [o for o in gc.get_objects() if isinstance(o, io.IOBase)
+                and type(o).__module__ == "click.testing"]
+
+    bad = workspace / "bad.yaml"
+    bad.write_text("m_total: many\n")
+    gc.collect()
+    before = {id(o) for o in captured()}
+    for i in range(10):
+        config = bad if i % 5 == 4 else workspace / "link.yaml"
+        out = runner.invoke(main, ["optimize", "--config", str(config),
+                                   "--trace"])
+        assert out.exit_code == (2 if config == bad else 0), out.output
+    del out
+    gc.collect()
+    assert [o for o in captured() if id(o) not in before] == []
 
 
 def test_optimize_infeasible_exit_code(runner, tmp_path):

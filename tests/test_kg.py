@@ -237,6 +237,15 @@ _MALFORMED = [
     ["x\ta\tr\tb"],
     # mixed formats
     [json.dumps({"sample": 1, "triples": [["a", "r", "b"]]}), "2\ta\tr\tb"],
+    # entries a loader keyed by the label tuple could take for a seen triple:
+    # a 3-character string, an unhashable label, a number or boolean label
+    [json.dumps({"sample": 1, "triples": [["a", "b", "c"]]}),
+     json.dumps({"sample": 2, "triples": ["abc"]})],
+    [json.dumps({"sample": 1, "triples": [["a", ["r"], "b"]]})],
+    [json.dumps({"sample": 1, "triples": [["a", "r", "b"], ["a", "r", {}]]})],
+    [json.dumps({"sample": 1, "triples": [["1", "r", "b"]]}),
+     json.dumps({"sample": 2, "triples": [[1, "r", "b"]]})],
+    [json.dumps({"sample": 1, "triples": [["a", "r", "b"], ["a", "r", True]]})],
     # precedence: a parse error beats a duplicate id, a gap beats an empty
     # label, and sample 1's duplicate triple beats sample 2's empty label
     [json.dumps({"sample": 1, "triples": [["a", "r", "b"]]}),

@@ -234,15 +234,6 @@ class TestRound1Verdict:
             g.pair(1, 0).verdict
         assert _verdicts(g) == {}
 
-    def test_has_triple_absent_pair_or_relation(self):
-        corpus = corpus_from_samples([[("a", "r", "b"), ("b", "s", "a")]])
-        g = build(corpus)
-        assert g.has_triple(ids(corpus, "a", "r", "b"))
-        assert not g.has_triple(ids(corpus, "a", "s", "b"))  # no relation
-        assert not g.has_triple(ids(corpus, "a", "r", "a"))  # no pair
-        assert not g.has_triple(Triple(7, 0, 9))  # ids beyond the tables
-        assert _verdicts(g) == {}  # a membership test, not a verdict
-
 
 def _spgr(entities, relations, pairs, n_samples=2):
     """A `.spgr` file holding the tables and (head, tail, [(relation,
@@ -275,16 +266,6 @@ class TestSerialization:
         assert g2.quadruples == g.quadruples
         assert g2.entities == g.entities
         assert g2.relations == g.relations
-
-    def test_json_export(self):
-        corpus = corpus_from_samples([[("a", "r", "b")]])
-        g = build(corpus)
-        import json
-        doc = json.loads(g.to_json())
-        assert doc["n_samples"] == 1
-        assert doc["content_hash"] == g.content_hash.hex()
-        assert doc["quadruples"] == [
-            {"head": 0, "tail": 1, "relations": [[0, [1]]]}]
 
     def test_corruption_detected(self, rng):
         corpus = random_corpus(rng, n_samples=5)
