@@ -1,7 +1,6 @@
 """Probability-graph semantic compression with joint power/compute allocation."""
 
-from .compressor import (CompressedMessage, CompressionReport, OmissionRecord,
-                         compress, decode_message, decompress, encode_message)
+from .compressor import CompressionReport, compress, decompress
 from .errors import (CorruptMessageError, GraphDecodeError,
                      IncompatibleKnowledgeError, MessageDecodeError,
                      PairNotFoundError, ParseError, RelationNotFoundError,
@@ -13,5 +12,7 @@ from .optimizer import (AllocationResult, solve, solve_simplified,
 from .probgraph import ProbabilityGraph, Quadruple, build
 from .resource import (LinkModel, OmissionProfile, capacity, comm_latency,
                        comp_latency, energies, estimate_q, payload_bits)
+from .wire import (CompressedMessage, OmissionRecord, WireSize, decode_message,
+                   encode_message, message_size)
 
 __version__ = "0.1.0"

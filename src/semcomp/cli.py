@@ -10,7 +10,8 @@ import sys
 
 import click
 
-from . import compressor, experiments, kg, optimizer, probgraph, resource
+from . import (compressor, experiments, kg, optimizer, probgraph, resource,
+               wire)
 from .errors import ParseError, SemcompError, ValidationError
 
 EXIT_VALIDATION = 2
@@ -97,7 +98,8 @@ def _remap_kg(graph, corpus):
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--report", "report_path", default=None,
               type=click.Path(dir_okay=False),
-              help="Write the compression report as JSON.")
+              help="Write the compression report, with the message's wire "
+                   "bytes, as JSON.")
 @_guard
 def compress_cmd(graph_path, input_path, max_round, out_path, report_path):
     """Compress one knowledge-graph file against a shared graph."""
@@ -105,7 +107,7 @@ def compress_cmd(graph_path, input_path, max_round, out_path, report_path):
     message_kg = _remap_kg(graph, _load_single_sample(input_path))
     msg, report = compressor.compress(graph, message_kg, max_round=max_round)
     with open(out_path, "wb") as fh:
-        fh.write(compressor.encode_message(msg))
+        fh.write(wire.encode_message(msg))
     _echo("compressed %d triples: %d omitted, %d comparisons"
           % (msg.total_triples, len(msg.omissions), report.comparison_count))
     if report_path:
@@ -115,8 +117,27 @@ def compress_cmd(graph_path, input_path, max_round, out_path, report_path):
                 "comparison_count": report.comparison_count,
                 "combinations_evaluated": report.combinations_evaluated,
                 "observed_ratios": report.observed_ratios(),
+                "wire": _wire_block(msg),
             }, fh, indent=2)
             fh.write("\n")
+
+
+def _wire_block(msg):
+    """The encoded message's bytes by part, beside the energy model's
+    `payload_bits / 8` at the default bits per field.  Parts that are not
+    whole bytes are fractions; they sum to `total`, the file's size."""
+    size = wire.message_size(msg)
+    model = resource.payload_bits(resource.LinkModel(), msg.total_triples,
+                                  len(msg.omissions))
+    return {
+        "header": size.header,
+        "full_triples": size.full_triples / 8,
+        "records": {str(r): bits / 8 for r, bits in size.records.items()},
+        "conditions": size.conditions / 8,
+        "padding": size.padding / 8,
+        "total": size.total,
+        "model": model / 8,
+    }
 
 
 @main.command("decompress")
@@ -130,7 +151,7 @@ def decompress_cmd(graph_path, input_path, out_path):
     """Reconstruct a compressed message back into a knowledge-graph file."""
     graph = probgraph.ProbabilityGraph.load(graph_path)
     with open(input_path, "rb") as fh:
-        msg = compressor.decode_message(fh.read())
+        msg = wire.decode_message(fh.read())
     result = compressor.decompress(graph, msg)
     corpus = kg.Corpus(samples=[kg.KnowledgeGraph(result.triples, sample_id=1)],
                        entities=kg.Interner(graph.entities.labels()),

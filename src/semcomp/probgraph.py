@@ -3,6 +3,10 @@
 Each (head, tail) pair maps to one quadruple holding the candidate relations
 with the sample sets that support them.  Probabilities are exact integer-count
 ratios (fractions.Fraction) so argmax comparisons are tie-exact.
+
+A `.spgr` file is magic b"SPGR", the u16 version (2), u32 N and u32 pair
+count, a sha256 digest, and the body.  The digest covers the version, N, the
+pair count and the body, and it is the graph's `content_hash`.
 """
 
 import hashlib
@@ -19,7 +23,7 @@ from .errors import (GraphDecodeError, PairNotFoundError, RelationNotFoundError,
 from .kg import Corpus, Interner, Triple
 
 FORMAT_MAGIC = b"SPGR"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,14 @@ def unique_max_relation(counts) -> Optional[int]:
     return None if tie else best_rid
 
 
+def _digest(counts: bytes, body) -> bytes:
+    """The file digest and content hash: sha256 over the header's version, N
+    and pair count, then the body, so no header field escapes it."""
+    digest = hashlib.sha256(counts)
+    digest.update(body)
+    return digest.digest()
+
+
 def _missing_relation(head, relation, tail) -> RelationNotFoundError:
     return RelationNotFoundError(
         "relation %d not present on pair (%d, %d)" % (relation, head, tail))
@@ -99,7 +111,7 @@ class ProbabilityGraph:
     @property
     def content_hash(self) -> bytes:
         if self._hash is None:
-            self._hash = hashlib.sha256(self._body_bytes()).digest()
+            self._hash = _digest(self._counts(), self._body_bytes())
         return self._hash
 
     # -- probability queries ------------------------------------------------
@@ -185,14 +197,17 @@ class ProbabilityGraph:
                     prev = sid
         return bytes(out)
 
+    def _counts(self) -> bytes:
+        """The header fields after the magic: version, N and pair count."""
+        return struct.pack("<HII", FORMAT_VERSION, self.n_samples,
+                           len(self.quadruples))
+
     def to_bytes(self) -> bytes:
-        body = self._body_bytes()
-        digest = hashlib.sha256(body).digest()
+        counts, body = self._counts(), self._body_bytes()
+        digest = _digest(counts, body)
         if self._hash is None:  # saves `content_hash` a second serialization
             self._hash = digest
-        header = FORMAT_MAGIC + struct.pack(
-            "<HII", FORMAT_VERSION, self.n_samples, len(self.quadruples))
-        return header + digest + body
+        return FORMAT_MAGIC + counts + digest + body
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProbabilityGraph":
@@ -209,12 +224,12 @@ class ProbabilityGraph:
 
         if bytes(take(4)) != FORMAT_MAGIC:
             raise GraphDecodeError("bad magic bytes")
-        version, n_samples, n_pairs = struct.unpack("<HII", take(10))
+        counts = bytes(take(10))
+        version, n_samples, n_pairs = struct.unpack("<HII", counts)
         if version != FORMAT_VERSION:
             raise GraphDecodeError("unsupported format version %d" % version)
         digest = bytes(take(32))
-        body = bytes(view[pos:])
-        if hashlib.sha256(body).digest() != digest:
+        if _digest(counts, view[pos:]) != digest:
             raise GraphDecodeError("content hash mismatch")
 
         # Only the bytes `to_bytes` writes for a built graph are accepted, so

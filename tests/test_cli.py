@@ -23,6 +23,7 @@ from semcomp.experiments import CONFIG_KEYS, SWEEP_VARIABLES
 from semcomp.kg import load_corpus
 from semcomp.probgraph import ProbabilityGraph, Quadruple, build
 
+import legacy_wire
 from conftest import random_corpus
 
 CORPUS_LINES = [
@@ -94,6 +95,43 @@ def test_full_pipeline(runner, workspace):
                result.entities.label(t.tail))
               for t in result.sample(1).triples}
     assert labels == {("a", "r2", "b"), ("x", "u", "y")}
+
+
+def test_report_wire_block_is_the_file(runner, workspace):
+    graph, compressed = workspace / "graph.spgr", workspace / "msg.scmp"
+    report = workspace / "report.json"
+    runner.invoke(main, ["build-graph", "--corpus",
+                         str(workspace / "corpus.jsonl"), "--out", str(graph)])
+    out = runner.invoke(main, ["compress", "--graph", str(graph),
+                               "--input", str(workspace / "message.jsonl"),
+                               "--max-round", "2", "--out", str(compressed),
+                               "--report", str(report)])
+    assert out.exit_code == 0, out.output
+    doc = json.loads(report.read_text())
+    block = doc["wire"]
+    assert block["total"] == compressed.stat().st_size
+    assert (block["header"] + block["full_triples"]
+            + sum(block["records"].values()) + block["conditions"]
+            + block["padding"]) == block["total"]
+    # the model's payload_bits: 3 * M - E fields of 24 bits, M = 2
+    omitted = sum(stage["omitted"] for stage in doc["stages"])
+    assert block["model"] == 24 * (3 * 2 - omitted) / 8
+
+
+def test_decompress_rejects_v1_message(runner, workspace):
+    graph, old = workspace / "graph.spgr", workspace / "old.scmp"
+    runner.invoke(main, ["build-graph", "--corpus",
+                         str(workspace / "corpus.jsonl"), "--out", str(graph)])
+    runner.invoke(main, ["compress", "--graph", str(graph),
+                         "--input", str(workspace / "message.jsonl"),
+                         "--out", str(workspace / "msg.scmp")])
+    msg = decode_message((workspace / "msg.scmp").read_bytes())
+    old.write_bytes(legacy_wire.encode_message(msg))
+    out = runner.invoke(main, ["decompress", "--graph", str(graph),
+                               "--input", str(old),
+                               "--out", str(workspace / "out.jsonl")])
+    assert out.exit_code == 2
+    assert "unsupported wire version 1" in out.output
 
 
 def test_estimate_q(runner, workspace):
@@ -402,11 +440,12 @@ DAMAGED_FILES = ("corpus.jsonl", "message.jsonl", "graph.spgr", "msg.scmp")
 
 def _rehash(name, data):
     """`data` with its digest recomputed, as a writer of that format would."""
-    if name == "graph.spgr":  # magic, version/counts, sha256(body), body
-        return data[:14] + hashlib.sha256(data[46:]).digest() + data[46:]
-    if name == "msg.scmp":  # 46 header bytes, sha256(header + body), body
-        return (data[:46] + hashlib.sha256(data[:46] + data[78:]).digest()
-                + data[78:])
+    if name == "graph.spgr":  # magic, version/counts, sha256(counts + body)
+        return (data[:14] + hashlib.sha256(data[4:14] + data[46:]).digest()
+                + data[46:])
+    if name == "msg.scmp":  # blake2b-128 of all bytes but its own 38..53
+        digest = hashlib.blake2b(data[:38] + data[54:], digest_size=16)
+        return data[:38] + digest.digest() + data[54:]
     return data
 
 

@@ -250,10 +250,10 @@ def _spgr(entities, relations, pairs, n_samples=2):
             deltas = [b - a for a, b in zip((0,) + samples, samples)]
             body += struct.pack("<II%dI" % len(samples), rid, len(samples),
                                 *deltas)
-    return (probgraph.FORMAT_MAGIC
-            + struct.pack("<HII", probgraph.FORMAT_VERSION, n_samples,
-                          len(pairs))
-            + hashlib.sha256(bytes(body)).digest() + bytes(body))
+    counts = struct.pack("<HII", probgraph.FORMAT_VERSION, n_samples,
+                         len(pairs))
+    return (probgraph.FORMAT_MAGIC + counts
+            + hashlib.sha256(counts + bytes(body)).digest() + bytes(body))
 
 
 class TestSerialization:
@@ -271,11 +271,8 @@ class TestSerialization:
         corpus = random_corpus(rng, n_samples=5)
         data = bytearray(build(corpus).to_bytes())
         local = random.Random(7)
-        # skip the N field (bytes 6..9): it is header metadata outside the
-        # hashed canonical body, and fuzzing it cannot corrupt any quadruple
-        positions = [p for p in range(len(data)) if not 6 <= p <= 9]
         for _ in range(40):
-            pos = local.choice(positions)
+            pos = local.randrange(len(data))
             corrupted = bytearray(data)
             corrupted[pos] ^= 0xFF
             with pytest.raises(GraphDecodeError):
@@ -284,8 +281,17 @@ class TestSerialization:
     def test_sample_id_beyond_count_rejected(self):
         corpus = corpus_from_samples([[("a", "r", "b")], [("a", "r", "b")]])
         data = bytearray(build(corpus).to_bytes())
-        data[6:10] = struct.pack("<I", 1)  # N, outside the hashed body
+        data[6:10] = struct.pack("<I", 1)  # N, then a digest that covers it
+        data[14:46] = hashlib.sha256(data[4:14] + data[46:]).digest()
         with pytest.raises(GraphDecodeError):
+            ProbabilityGraph.from_bytes(bytes(data))
+
+    def test_version_1_file_rejected(self):
+        corpus = corpus_from_samples([[("a", "r", "b")]])
+        data = bytearray(build(corpus).to_bytes())
+        data[4:6] = struct.pack("<H", 1)
+        data[14:46] = hashlib.sha256(data[4:14] + data[46:]).digest()
+        with pytest.raises(GraphDecodeError, match="format version 1"):
             ProbabilityGraph.from_bytes(bytes(data))
 
     def test_to_bytes_hashes_once_and_seeds_hash(self, rng, monkeypatch):

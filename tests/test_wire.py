@@ -1,13 +1,20 @@
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semcomp.compressor import (CompressedMessage, OmissionRecord,
-                                decode_message, encode_message)
-from semcomp.errors import MessageDecodeError
+import legacy_wire
+from semcomp.compressor import compress
+from semcomp.errors import MessageDecodeError, ValidationError
 from semcomp.kg import Triple
+from semcomp.probgraph import build
+from semcomp.wire import (CompressedMessage, OmissionRecord, decode_message,
+                          encode_message, message_size)
+
+from test_equivalence import cases
 
 
 def random_message(rng: random.Random, j=None, e=None):
@@ -90,3 +97,122 @@ def test_single_byte_flips_detected():
         except MessageDecodeError:
             continue
         assert decoded.graph_hash != msg.graph_hash
+
+
+@pytest.mark.parametrize("graph_hash", [b"", b"ab", bytes(31), bytes(33)])
+def test_graph_hash_of_wrong_length_rejected(graph_hash):
+    # v1 zero-padded a 2-byte hash to 32 bytes and sent it.
+    with pytest.raises(ValidationError):
+        encode_message(CompressedMessage(graph_hash, [Triple(1, 2, 3)], []))
+
+
+# -- codec v2 against the v1 oracle ------------------------------------------
+
+def assert_agrees_with_v1(msg):
+    """v2 round-trips `msg` as v1 does, in fewer bytes, and its size is the
+    total `message_size` gives."""
+    data = encode_message(msg)
+    old = legacy_wire.encode_message(msg)
+    assert decode_message(data) == legacy_wire.decode_message(old) == msg
+    assert len(data) < len(old)
+    size = message_size(msg)
+    assert len(data) == size.total
+    assert (8 * size.header + size.full_triples + sum(size.records.values())
+            + size.conditions + size.padding) == 8 * size.total
+
+
+def test_random_messages_agree_with_v1(rng):
+    for _ in range(300):
+        assert_agrees_with_v1(random_message(rng))
+
+
+@pytest.mark.parametrize("max_round", [1, 2, 3])
+def test_compressed_messages_agree_with_v1(max_round):
+    # random, tie-heavy and nested corpora, their samples and a stranger
+    for corpus, messages in cases():
+        g = build(corpus)
+        for message in messages:
+            assert_agrees_with_v1(compress(g, message, max_round)[0])
+
+
+def test_v1_message_rejected():
+    msg = CompressedMessage(b"\x00" * 32, [Triple(1, 2, 3)], [])
+    with pytest.raises(MessageDecodeError, match="unsupported wire version 1"):
+        decode_message(legacy_wire.encode_message(msg))
+
+
+# Two messages pinned byte for byte: fields, widths, runs, padding, digest.
+PINNED = [
+    (CompressedMessage(bytes(range(32)), [Triple(1, 2, 3), Triple(4, 0, 5)],
+                       [OmissionRecord(6, 7)]),
+     "53434d50020000010203040506070809" "0a0b0c0d0e0f10111213141516171819"
+     "1a1b1c1d1e1f44baca3bff5f1191ec1d" "42bf9985efe002010101030271a43e"),
+    (CompressedMessage(b"\xab" * 32, [Triple(0, 1, 2), Triple(3, 4, 5)],
+                       [OmissionRecord(2, 3), OmissionRecord(4, 5, (0,)),
+                        OmissionRecord(1, 5, (1, 3)),
+                        OmissionRecord(0, 2, (0, 4))]),
+     "53434d500200abababababababababab" "abababababababababababababababab"
+     "abababababab5bd396fa6fe7dd120f1d" "1e8df0a6b8de02030101020103020303"
+     "88c6021a2c00690681"),
+]
+
+
+@pytest.mark.parametrize("msg, hexed", PINNED)
+def test_pinned_bytes(msg, hexed):
+    assert encode_message(msg).hex() == hexed
+    assert decode_message(bytes.fromhex(hexed)) == msg
+
+
+# -- forged headers ------------------------------------------------------------
+
+def _leb128(n):
+    out = bytearray()
+    while True:
+        out.append(n & 0x7F | (0x80 if n > 0x7F else 0))
+        n >>= 7
+        if not n:
+            return bytes(out)
+
+
+def _forge(counts, widths, body):
+    """A message with these header counts and widths, this body, and a
+    digest that matches, as a writer of the format would produce it."""
+    rest = b"".join(map(_leb128, counts)) + bytes(widths) + body
+    head = b"SCMP" + (2).to_bytes(2, "little") + b"\xab" * 32
+    digest = hashlib.blake2b(head + rest, digest_size=16).digest()
+    return head + digest + rest
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_full=st.integers(0, 2**63),
+       runs=st.lists(st.tuples(st.integers(0, 2**63), st.integers(0, 2**63)),
+                     max_size=3),
+       widths=st.tuples(st.integers(0, 255), st.integers(0, 255)),
+       pin=st.sampled_from(PINNED))
+def test_forged_counts_and_widths(n_full, runs, widths, pin):
+    msg = pin[0]
+    data = encode_message(msg)
+    body = data[message_size(msg).header:]
+    forged = _forge([n_full, len(runs)] + [x for run in runs for x in run],
+                    widths, body)
+    tracemalloc.start()
+    try:
+        decoded = decode_message(forged)
+    except MessageDecodeError:
+        decoded = None
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    # The declared size is checked against the body before any record is
+    # built, so no count makes the decoder allocate beyond the message.
+    assert peak < 64 * 1024
+    if decoded is not None:
+        assert 1 <= min(widths) and max(widths) <= 32
+        assert decode_message(encode_message(decoded)) == decoded
+
+
+def test_widths_beyond_32_bits_rejected():
+    body = encode_message(PINNED[0][0])[60:]
+    for widths in ((33, 3), (3, 33), (0, 3), (255, 255)):
+        with pytest.raises(MessageDecodeError, match="width"):
+            decode_message(_forge([2, 1, 1, 1], widths, body))
