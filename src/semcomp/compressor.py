@@ -4,9 +4,13 @@ The sender omits a triple's relation when the receiver can re-derive it as
 the unique argmax of the (conditional) relation distribution for the triple's
 (head, tail) pair.  Round 1 uses unconditional probabilities; round r >= 2
 conditions on (r-1)-tuples of previously omitted triples and repeats in
-cycles until a cycle omits nothing.  Decompression replays the argmax in
-message order, so the scheme is lossless by construction.  The messages and
-their byte format are `semcomp.wire`'s.
+cycles until a cycle omits nothing.  The condition bitsets are read once,
+when round 2 starts, and extended after each cycle by what it omitted.  A
+later cycle walks only the tuples that hold a condition the previous cycle
+omitted: its candidates missed every other tuple then, and the graph does
+not change.
+Decompression replays the argmax in message order, so the scheme is lossless
+by construction.  The messages and their byte format are `semcomp.wire`'s.
 """
 
 from dataclasses import dataclass, field
@@ -56,7 +60,7 @@ class CompressionReport:
 
 
 def _first_condition(g: ProbabilityGraph, t: Triple, cond: List[int],
-                     width: int, report: CompressionReport
+                     width: int, old: int, report: CompressionReport
                      ) -> Optional[Tuple[int, ...]]:
     """First `width`-tuple of indices into `cond`, in ascending lexicographic
     order, whose event makes `t.relation` the unique argmax on t's pair.
@@ -66,8 +70,13 @@ def _first_condition(g: ProbabilityGraph, t: Triple, cond: List[int],
     bitsets.  A subtree is skipped when, inside that prefix P, the target's
     support is empty or a subset of another relation's support: every event
     E within P then gives the target a count no larger than that relation's,
-    so no tuple below it is a hit.  Skipped tuples are still charged to
-    `report.comparison_count` (see CompressionReport).
+    so no tuple below it is a hit.
+
+    The caller knows that every tuple over cond[:old] misses: t missed all
+    of them in the previous cycle, and the graph does not change.  So a leaf
+    whose prefix holds only indices below `old` starts at `old`.  Skipped
+    tuples, these included, are still charged to `report.comparison_count`
+    (see CompressionReport).
     """
     n = len(cond)
     if n < width:
@@ -85,19 +94,24 @@ def _first_condition(g: ProbabilityGraph, t: Triple, cond: List[int],
         nonlocal skipped, evaluated
         rest = width - depth - 1  # indices still to choose after this one
         if rest == 0:
+            if start < old:  # the prefix holds only indices below `old`
+                skipped += old - start
+                start = old
+            hits = mine & prefix
             for i in range(start, n):
-                event = prefix & cond[i]
-                evaluated += 1
                 # unique_max_relation(counts) == t.relation, without building
                 # the counts: about half the search time on skewed messages.
-                count = (mine & event).bit_count()
+                count = (hits & cond[i]).bit_count()
                 if not count:
                     continue
+                event = prefix & cond[i]
                 for b in others:
                     if (b & event).bit_count() >= count:
                         break
                 else:
+                    evaluated += i + 1 - start
                     return (i,)
+            evaluated += n - start
             return None
         for i in range(start, n - rest):
             event = prefix & cond[i]
@@ -132,61 +146,72 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
     triples = list(kg.triples)
     report = CompressionReport()
     remaining_total = len(triples)
+    quadruples = g.quadruples
 
     # (triple, conditions as positions in this list), omission order
     omitted: List[Tuple[Triple, Tuple[int, ...]]] = []
 
-    # Round 1: unconditional unique-mode relations.
-    round1_omitted = 0
-    still: List[Triple] = []
+    # Round 1: unconditional unique-mode relations.  It reads no bitset.
+    candidates: List[Triple] = []
     for t in triples:
-        quad = g.quadruples.get((t.head, t.tail))
+        quad = quadruples.get((t.head, t.tail))
         # A triple whose pair (or relation) is absent from the graph can never
         # be reconstructed, so it is a permanent pass-through full triple.
-        if quad is None or all(rid != t.relation for rid, _ in quad.relations):
+        if quad is None:
             continue
-        report.comparison_count += len(quad.relations)
         if quad.verdict == t.relation:
             omitted.append((t, ()))
-            round1_omitted += 1
+        elif all(rid != t.relation for rid, _ in quad.relations):
+            continue
         else:
-            still.append(t)
-    report.stages.append(StageStats(1, 0, remaining_total, round1_omitted))
-    remaining_total -= round1_omitted
-    candidates = still
+            candidates.append(t)
+        report.comparison_count += len(quad.relations)
+    report.stages.append(StageStats(1, 0, remaining_total, len(omitted)))
+    remaining_total -= len(omitted)
 
+    # One bitset per omitted triple, in omission order.  A cycle reads the
+    # list as it stood when the cycle began; the list then grows by what the
+    # cycle omitted, and the last cycle of a round omits nothing, so the next
+    # round starts from the same list.
+    cond = ([quadruples[o.head, o.tail].bits[0][o.relation]
+             for o, _ in omitted] if candidates and max_round > 1 else [])
     for round_no in range(2, max_round + 1):
         width = round_no - 1
-        cycle = 0
+        cycle = old = 0
         while True:
             cycle += 1
-            # The O-set is frozen for this cycle: one bitset per omitted triple.
-            cond = ([g.pair(o.head, o.tail).bits[0][o.relation]
-                     for o, _ in omitted] if candidates else [])
-            cycle_omitted = 0
+            first = len(omitted)
             still = []
             for t in candidates:
-                chosen = _first_condition(g, t, cond, width, report)
+                chosen = _first_condition(g, t, cond, width, old, report)
                 if chosen is not None:
                     omitted.append((t, chosen))
-                    cycle_omitted += 1
                 else:
                     still.append(t)
+            cycle_omitted = len(omitted) - first
             report.stages.append(
                 StageStats(round_no, cycle, remaining_total, cycle_omitted))
             remaining_total -= cycle_omitted
             candidates = still
             if cycle_omitted == 0:
                 break
+            # The candidates left missed every tuple over `cond` as it
+            # stands, so the next cycle searches only tuples that hold one of
+            # the conditions appended here.
+            old = len(cond)
+            cond += [quadruples[o.head, o.tail].bits[0][o.relation]
+                     for o, _ in omitted[first:]]
 
     omitted_set = {t for t, _ in omitted}
     full = [t for t in triples if t not in omitted_set]
     offset = len(full)
-    # Round-1 records skip the generator: on round-1-only messages it cost
-    # about half as much again as building the records.
+    # tuple.__new__ skips the named tuple's Python-level __new__, and a
+    # round-1 record reuses the empty tuple.
+    new = tuple.__new__
     records = [
-        OmissionRecord(t.head, t.tail,
-                       tuple(offset + i for i in chosen) if chosen else ())
+        new(OmissionRecord, (t.head, t.tail,
+                             tuple([offset + i for i in chosen])
+                             if chosen else ()))
         for t, chosen in omitted]
     msg = CompressedMessage(g.content_hash, full, records)
     return msg, report

@@ -28,6 +28,7 @@ run from the lowest bits up:
 w_e and w_r are the bit lengths of the message's largest entity and relation
 ids (at least 1), and w_c = (J - 1).bit_length() for a message of J triples:
 a condition indexes a triple reconstructed earlier, so it is below J - 1.
+The decoder rejects any other w_e or w_r, so a message has one encoding.
 `message_size` is the one statement of these sizes; `encode_message`'s output
 is always its total.  Any other version, version 1 included, is rejected.
 """
@@ -188,16 +189,18 @@ def _pack(values: List[int], width: int) -> bytes:
 
 
 def _unpack(data: bytes, pos: int, n: int, width: int):
-    """The n records of `width` bits in the section at data[pos:], and the
-    position after it.  The caller has checked that the section fits."""
+    """The n records of `width` bits in the section at data[pos:], the
+    bitwise OR of them all, and the position after the section.  The caller
+    has checked that the section fits."""
     end = pos + _section_bytes(n, width)
     section = data[pos:end]
     mask = (1 << width) - 1
     _, _, w2, w3, w4, w5, w6, w7 = range(0, 8 * width, width)
     values: List[int] = []
-    x = 0
+    x = groups = 0
     for at in range(0, len(section), width):  # the last group may be short
         x = int.from_bytes(section[at:at + width], "little")
+        groups |= x
         values += (x & mask, x >> width & mask, x >> w2 & mask,
                    x >> w3 & mask, x >> w4 & mask, x >> w5 & mask,
                    x >> w6 & mask, x >> w7)
@@ -205,7 +208,11 @@ def _unpack(data: bytes, pos: int, n: int, width: int):
         if x >> (n & 7) * width:
             raise MessageDecodeError("nonzero padding bits")
         del values[n:]
-    return values, end
+    seen = 0
+    while groups:  # fold the 8 record slots of the groups' OR into one
+        seen |= groups & mask
+        groups >>= width
+    return values, seen, end
 
 
 def encode_message(msg: CompressedMessage) -> bytes:
@@ -323,9 +330,13 @@ def decode_message(data: bytes) -> CompressedMessage:
     # Every record is at least 2 bits and every condition 1 bit, so what is
     # built below is bounded by the body's size.
     new = tuple.__new__  # skips the named tuples' Python-level __new__
-    values, pos = _unpack(data, pos, n_full, _full_width(w_e, w_r))
+    values, seen, pos = _unpack(data, pos, n_full, _full_width(w_e, w_r))
     e_mask, r_mask = (1 << w_e) - 1, (1 << w_r) - 1
     rel_at, tail_at = w_e, w_e + w_r
+    # The OR of a field over all records has the bit length of its largest
+    # value, which fixes the width the encoder would have chosen.
+    entities = seen & e_mask | seen >> tail_at
+    relations = seen >> rel_at & r_mask
     full = [new(Triple, (v & e_mask, v >> rel_at & r_mask, v >> tail_at))
             for v in values]
     omissions: List[OmissionRecord] = []
@@ -333,7 +344,8 @@ def decode_message(data: bytes) -> CompressedMessage:
     c_mask = repeat((1 << w_c) - 1)
     for round_no, n in runs:
         width = _record_width(round_no, w_e, w_c)
-        values, pos = _unpack(data, pos, n, width)
+        values, seen, pos = _unpack(data, pos, n, width)
+        entities |= seen & e_mask | seen >> w_e & e_mask
         columns = [list(map(and_, map(rshift, values,
                                       repeat(2 * w_e + k * w_c)), c_mask))
                    for k in range(round_no - 1)]
@@ -344,4 +356,7 @@ def decode_message(data: bytes) -> CompressedMessage:
                       for v, c in zip(values, zip(*columns) if columns
                                       else repeat(()))]
         start += n
+    if ((entities.bit_length() or 1) != w_e
+            or (relations.bit_length() or 1) != w_r):
+        raise MessageDecodeError("id widths are not the smallest that fit")
     return CompressedMessage(bytes(data[6:DIGEST_OFFSET]), full, omissions)

@@ -25,6 +25,7 @@ from semcomp.probgraph import ProbabilityGraph, Quadruple, build
 
 import legacy_wire
 from conftest import random_corpus
+from test_wire import _widened
 
 CORPUS_LINES = [
     {"sample": 1, "triples": [["a", "r1", "b"], ["c", "s", "d"]]},
@@ -132,6 +133,23 @@ def test_decompress_rejects_v1_message(runner, workspace):
                                "--out", str(workspace / "out.jsonl")])
     assert out.exit_code == 2
     assert "unsupported wire version 1" in out.output
+
+
+def test_decompress_rejects_non_minimal_widths(runner, workspace,
+                                               monkeypatch):
+    graph, wide = workspace / "graph.spgr", workspace / "wide.scmp"
+    runner.invoke(main, ["build-graph", "--corpus",
+                         str(workspace / "corpus.jsonl"), "--out", str(graph)])
+    runner.invoke(main, ["compress", "--graph", str(graph),
+                         "--input", str(workspace / "message.jsonl"),
+                         "--out", str(workspace / "msg.scmp")])
+    msg = decode_message((workspace / "msg.scmp").read_bytes())
+    wide.write_bytes(_widened(msg, monkeypatch, 1, 0))
+    out = runner.invoke(main, ["decompress", "--graph", str(graph),
+                               "--input", str(wide),
+                               "--out", str(workspace / "out.jsonl")])
+    assert out.exit_code == 2
+    assert "id widths are not the smallest that fit" in out.output
 
 
 def test_estimate_q(runner, workspace):

@@ -62,6 +62,25 @@ class TestCompress:
         # the single condition references the round-1 omission of (x, u, y)
         assert cond_rec.conditions[0] == len(msg.full_triples)
 
+    def test_round_1_builds_no_bitset(self, rng):
+        # Round 1 reads verdicts only, and a later round reads bitsets only
+        # when round 1 left a candidate.
+        corpus = random_corpus(rng, n_samples=12)
+        g = build(corpus)
+        for message in corpus.samples:
+            compress(g, message, max_round=1)
+        assert not [q for q in g.quadruples.values() if "bits" in vars(q)]
+        # Each pair carries one relation, so round 1 omits every triple but
+        # the stranger (b, r, a), whose pair is unknown.
+        lone = corpus_from_samples([[("a", "r", "b"), ("c", "s", "d")],
+                                    [("a", "r", "b")]])
+        g = build(lone)
+        stranger = Triple(*reversed(ids(lone, "a", "r", "b")))
+        msg, _ = compress(g, KnowledgeGraph(lone.sample(1).triples
+                                            + [stranger]), max_round=3)
+        assert msg.full_triples == [stranger] and len(msg.omissions) == 2
+        assert not [q for q in g.quadruples.values() if "bits" in vars(q)]
+
     def test_round_1_only_misses_conditional(self, toy):
         corpus, g = toy
         msg, _ = compress(g, corpus.sample(2), max_round=1)

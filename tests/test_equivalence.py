@@ -137,6 +137,40 @@ def test_pruned_subtree_before_first_hit():
     assert report.comparison_count == 17
 
 
+def test_second_cycle_walks_only_new_conditions():
+    # Round 1 omits C = (x, k, y) and D = (p, m, q), the only relations on
+    # their pairs.  Supports: N_S = {1, 2} and N_T = {3, 4, 5} on (c, d);
+    # N_R = {1} and N_Q = {6, 7, 8} on (a, b); C = {1, 2, 6}, D = {3, 7}.
+    # Round 2, cycle 1 has conditions [C, D]: A = (a, R, b) ties 1-1 under C
+    # and has no R sample under D, so it misses both; B = (c, S, d) wins 2-0
+    # under C.  Cycle 2 has [C, D, B], and A already missed C and D, so only
+    # (2,) is evaluated: under B = {1, 2}, R wins 1-0.
+    corpus = corpus_from_samples([
+        [("x", "k", "y"), ("c", "S", "d"), ("a", "R", "b")],
+        [("x", "k", "y"), ("c", "S", "d")],
+        [("c", "T", "d"), ("p", "m", "q")],
+        [("c", "T", "d")],
+        [("c", "T", "d")],
+        [("x", "k", "y"), ("a", "Q", "b")],
+        [("a", "Q", "b"), ("p", "m", "q")],
+        [("a", "Q", "b")],
+    ])
+    g = build(corpus)
+    message = _labelled(corpus, ("a", "R", "b"), ("c", "S", "d"),
+                        ("x", "k", "y"), ("p", "m", "q"))
+    msg, report = assert_matches_reference(g, message, max_round=2)
+    # reconstruction order C, D, B, A: no full triple is left
+    assert msg.full_triples == []
+    assert [rec.conditions for rec in msg.omissions] == [(), (), (0,), (2,)]
+    assert [(s.cycle, s.candidates, s.omitted) for s in report.stages] == [
+        (0, 4, 2), (1, 2, 1), (2, 1, 1), (3, 0, 0)]
+    # cycle 1: A evaluates (0,) and (1,), B (0,); cycle 2: A only (2,)
+    assert report.combinations_evaluated == 4
+    # round 1: 2 + 2 + 1 + 1; cycle 1: (2 + 1) tuples x 2; cycle 2: A's
+    # plain scan still reads (0,), (1,) and (2,), 3 tuples x 2
+    assert report.comparison_count == 18
+
+
 def test_dominated_target_evaluates_nothing():
     # "sub" only ever appears beside "sup": the target is dominated at the
     # root, so no condition tuple is evaluated though the model charges all.

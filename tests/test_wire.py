@@ -11,6 +11,7 @@ from semcomp.compressor import compress
 from semcomp.errors import MessageDecodeError, ValidationError
 from semcomp.kg import Triple
 from semcomp.probgraph import build
+from semcomp import wire
 from semcomp.wire import (CompressedMessage, OmissionRecord, decode_message,
                           encode_message, message_size)
 
@@ -208,7 +209,7 @@ def test_forged_counts_and_widths(n_full, runs, widths, pin):
     assert peak < 64 * 1024
     if decoded is not None:
         assert 1 <= min(widths) and max(widths) <= 32
-        assert decode_message(encode_message(decoded)) == decoded
+        assert encode_message(decoded) == forged
 
 
 def test_widths_beyond_32_bits_rejected():
@@ -216,3 +217,52 @@ def test_widths_beyond_32_bits_rejected():
     for widths in ((33, 3), (3, 33), (0, 3), (255, 255)):
         with pytest.raises(MessageDecodeError, match="width"):
             decode_message(_forge([2, 1, 1, 1], widths, body))
+
+
+def _widened(msg, monkeypatch, d_e, d_r):
+    """`msg` as the encoder writes it with w_e and w_r widened by d_e and d_r
+    bits: every field fits, and the digest matches."""
+    plan = wire._plan
+
+    def wide(m):
+        header, w_e, w_r, w_c, runs = plan(m)
+        w_e, w_r = w_e + d_e, w_r + d_r
+        return header[:-2] + bytes((w_e, w_r)), w_e, w_r, w_c, runs
+
+    with monkeypatch.context() as patch:
+        patch.setattr(wire, "_plan", wide)
+        return encode_message(msg)
+
+
+@pytest.mark.parametrize("d_e, d_r", [(1, 0), (0, 1), (1, 1), (2, 0)])
+@pytest.mark.parametrize("msg", [pin[0] for pin in PINNED])
+def test_non_minimal_widths_rejected(msg, monkeypatch, d_e, d_r):
+    # A forged copy of a message that declares wider ids than it needs would
+    # decode to the same message, which re-encodes to other bytes.
+    data = encode_message(msg)
+    assert _widened(msg, monkeypatch, 0, 0) == data
+    forged = _widened(msg, monkeypatch, d_e, d_r)
+    assert forged != data
+    with pytest.raises(MessageDecodeError, match="smallest that fit"):
+        decode_message(forged)
+
+
+def test_widths_follow_the_largest_id_of_any_section():
+    # The largest entity id sits in a record's head or tail, or in a full
+    # triple's tail; the largest relation id in the last full triple; ids of
+    # 0 and 1 take one bit.
+    for msg in [
+        CompressedMessage(b"\x00" * 32, [Triple(0, 0, 0)], []),
+        CompressedMessage(b"\x00" * 32, [], [OmissionRecord(1, 0)]),
+        CompressedMessage(b"\x00" * 32, [], []),
+        CompressedMessage(b"\x00" * 32, [Triple(1, 0, 2), Triple(0, 9, 3)],
+                          [OmissionRecord(2, 3),
+                           OmissionRecord(300, 1, (0,))]),
+        CompressedMessage(b"\x00" * 32, [Triple(0, 1, 0)],
+                          [OmissionRecord(5, 0), OmissionRecord(2, 40, (0,))]),
+        CompressedMessage(b"\x00" * 32, [Triple(3, 1, 70), Triple(6, 2, 0)],
+                          [OmissionRecord(5, 9)]),
+    ]:
+        data = encode_message(msg)
+        assert decode_message(data) == msg
+        assert encode_message(decode_message(data)) == data
