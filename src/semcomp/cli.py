@@ -63,29 +63,25 @@ def build_graph(corpus_path, out_path):
           % (graph.n_pairs, graph.n_samples, graph.content_hash.hex()[:16]))
 
 
-def _load_single_sample(path):
-    corpus = kg.load_corpus(path)
-    if corpus.n_samples != 1:
-        raise ValidationError("input must contain exactly one sample, found %d"
-                              % corpus.n_samples)
-    return corpus
+def _in_graph_ids(graph, corpus):
+    """The corpus's samples in the graph's id space.  A label the graph lacks
+    gets an id past the end of the graph's table, so no quadruple holds it."""
+    if (corpus.entities == graph.entities
+            and corpus.relations == graph.relations):
+        return corpus.samples
+    ent = _id_map(corpus.entities, graph.entities)
+    rel = _id_map(corpus.relations, graph.relations)
+    return [kg.KnowledgeGraph([kg.Triple(ent[h], rel[r], ent[t])
+                               for h, r, t in sample.triples],
+                              sample_id=sample.sample_id)
+            for sample in corpus.samples]
 
 
-def _remap_kg(graph, corpus):
-    """Re-express a standalone input file's triples in the graph's id space."""
-    triples = []
-    for t in corpus.sample(1).triples:
-        h = graph.entities.id_of(corpus.entities.label(t.head))
-        r = graph.relations.id_of(corpus.relations.label(t.relation))
-        tl = graph.entities.id_of(corpus.entities.label(t.tail))
-        if h is None or r is None or tl is None:
-            raise ValidationError(
-                "input uses labels absent from the shared graph (%s, %s, %s)"
-                % (corpus.entities.label(t.head),
-                   corpus.relations.label(t.relation),
-                   corpus.entities.label(t.tail)))
-        triples.append(kg.Triple(h, r, tl))
-    return kg.KnowledgeGraph(triples, sample_id=1)
+def _id_map(table, graph_table):
+    """Corpus id -> graph id; the labels `graph_table` lacks are numbered on
+    past its end, in first-seen order."""
+    joint = kg.Interner(graph_table.labels() + table.labels())
+    return [joint.id_of(label) for label in table.labels()]
 
 
 @main.command("compress")
@@ -104,7 +100,18 @@ def _remap_kg(graph, corpus):
 def compress_cmd(graph_path, input_path, max_round, out_path, report_path):
     """Compress one knowledge-graph file against a shared graph."""
     graph = probgraph.ProbabilityGraph.load(graph_path)
-    message_kg = _remap_kg(graph, _load_single_sample(input_path))
+    corpus = kg.load_corpus(input_path)
+    if corpus.n_samples != 1:
+        raise ValidationError("input must contain exactly one sample, found %d"
+                              % corpus.n_samples)
+    message_kg = _in_graph_ids(graph, corpus)[0]
+    for (h, r, t), mine in zip(message_kg.triples, corpus.samples[0].triples):
+        if max(h, t) >= len(graph.entities) or r >= len(graph.relations):
+            raise ValidationError(
+                "input uses labels absent from the shared graph (%s, %s, %s)"
+                % (corpus.entities.label(mine.head),
+                   corpus.relations.label(mine.relation),
+                   corpus.entities.label(mine.tail)))
     msg, report = compressor.compress(graph, message_kg, max_round=max_round)
     with open(out_path, "wb") as fh:
         fh.write(wire.encode_message(msg))
@@ -171,7 +178,7 @@ def decompress_cmd(graph_path, input_path, out_path):
 def estimate_q_cmd(graph_path, corpus_path, max_round):
     """Measure per-stage omission ratios over a corpus."""
     graph = probgraph.ProbabilityGraph.load(graph_path)
-    corpus = kg.load_corpus(corpus_path)
+    corpus = kg.Corpus(_in_graph_ids(graph, kg.load_corpus(corpus_path)))
     profile = resource.estimate_q(graph, corpus, max_round=max_round)
     _echo(json.dumps({
         "m_total": profile.m_total,
@@ -236,7 +243,7 @@ def sweep_cmd(config_path, variable, grid, csv_path):
     rows = experiments.run_sweep(spec)
     experiments.emit_csv(rows, csv_path)
     _echo("wrote %d rows to %s"
-          % (len(rows) * len(experiments.ALGORITHMS), csv_path))
+          % (sum(len(r.results) for r in rows), csv_path))
 
 
 if __name__ == "__main__":

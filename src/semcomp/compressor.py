@@ -74,9 +74,8 @@ def _first_condition(g: ProbabilityGraph, t: Triple, cond: List[int],
 
     The caller knows that every tuple over cond[:old] misses: t missed all
     of them in the previous cycle, and the graph does not change.  So a leaf
-    whose prefix holds only indices below `old` starts at `old`.  Skipped
-    tuples, these included, are still charged to `report.comparison_count`
-    (see CompressionReport).
+    whose prefix holds only indices below `old` starts at `old`.  The charge,
+    `_plain_scan_length` of the hit per relation, ignores what the walk skips.
     """
     n = len(cond)
     if n < width:
@@ -84,18 +83,17 @@ def _first_condition(g: ProbabilityGraph, t: Triple, cond: List[int],
     bitsets, union = g.pair(t.head, t.tail).bits
     mine = bitsets[t.relation]
     others = [b for rid, b in bitsets.items() if rid != t.relation]
-    skipped = evaluated = 0
+    evaluated = 0
 
     def dominated(prefix):
         hits = mine & prefix
         return not hits or any(hits & b == hits for b in others)
 
     def walk(start, depth, prefix):
-        nonlocal skipped, evaluated
+        nonlocal evaluated
         rest = width - depth - 1  # indices still to choose after this one
         if rest == 0:
             if start < old:  # the prefix holds only indices below `old`
-                skipped += old - start
                 start = old
             hits = mine & prefix
             for i in range(start, n):
@@ -116,20 +114,28 @@ def _first_condition(g: ProbabilityGraph, t: Triple, cond: List[int],
         for i in range(start, n - rest):
             event = prefix & cond[i]
             if dominated(event):
-                skipped += comb(n - 1 - i, rest)
                 continue
             found = walk(i + 1, depth + 1, event)
             if found is not None:
                 return (i,) + found
         return None
 
-    if dominated(union):
-        found, skipped = None, comb(n, width)
-    else:
-        found = walk(0, 0, union)
-    report.comparison_count += (skipped + evaluated) * len(bitsets)
+    found = None if dominated(union) else walk(0, 0, union)
+    report.comparison_count += (_plain_scan_length(n, width, found)
+                                * len(bitsets))
     report.combinations_evaluated += evaluated
     return found
+
+
+def _plain_scan_length(n, width, found):
+    """Tuples the plain lexicographic scan over combinations(range(n), width)
+    examines: all on a miss (`found` None), else the hit's rank + 1, that is
+    comb(n, width) - sum_j comb(n - 1 - c_j, width - j) for (c_0 < c_1 ...)."""
+    length = comb(n, width)
+    for c in found or ():
+        length -= comb(n - 1 - c, width)
+        width -= 1
+    return length
 
 
 def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
@@ -145,7 +151,6 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
 
     triples = list(kg.triples)
     report = CompressionReport()
-    remaining_total = len(triples)
     quadruples = g.quadruples
 
     # (triple, conditions as positions in this list), omission order
@@ -166,8 +171,7 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
         else:
             candidates.append(t)
         report.comparison_count += len(quad.relations)
-    report.stages.append(StageStats(1, 0, remaining_total, len(omitted)))
-    remaining_total -= len(omitted)
+    report.stages.append(StageStats(1, 0, len(triples), len(omitted)))
 
     # One bitset per omitted triple, in omission order.  A cycle reads the
     # list as it stood when the cycle began; the list then grows by what the
@@ -188,12 +192,10 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
                     omitted.append((t, chosen))
                 else:
                     still.append(t)
-            cycle_omitted = len(omitted) - first
-            report.stages.append(
-                StageStats(round_no, cycle, remaining_total, cycle_omitted))
-            remaining_total -= cycle_omitted
+            report.stages.append(StageStats(
+                round_no, cycle, len(triples) - first, len(omitted) - first))
             candidates = still
-            if cycle_omitted == 0:
+            if len(omitted) == first:
                 break
             # The candidates left missed every tuple over `cond` as it
             # stands, so the next cycle searches only tuples that hold one of

@@ -14,7 +14,6 @@ from .optimizer import (AllocationResult, solve, solve_simplified,
 from .resource import (_LINK_KEYS, LinkModel, OmissionProfile, as_float,
                        as_int, config_value)
 
-ALGORITHMS = ("jccpg", "simplified", "traditional")
 DEFAULT_Q = (0.3, 0.2, 0.1)
 DEFAULT_M_TOTAL = 100
 SWEEP_VARIABLES = ("m_total", "bandwidth", "latency_budget")

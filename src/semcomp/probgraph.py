@@ -120,8 +120,9 @@ class ProbabilityGraph:
                         ) -> Tuple[List[Tuple[int, int]], int]:
         """Integer count per relation on the pair, and the denominator.
 
-        This is the one conditioning rule: the sender's omissions, the
-        receiver's reconstruction and the probability queries all read it.
+        This is the conditioning rule: the receiver's reconstruction and the
+        probability queries read it, and the sender's search in `compressor`
+        tests it inline on the same bitsets.
         Returns ([(relation id, count), ...] in relation order, denominator).
         With empty `given` each count is |N_r| and the denominator is their
         sum.  Otherwise the conditioning event is the intersection of the

@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple
 
 from .compressor import DEFAULT_MAX_ROUND, compress
 from .errors import ValidationError
-from .kg import Corpus, KnowledgeGraph
+from .kg import Corpus
 from .probgraph import ProbabilityGraph
 
 
@@ -273,27 +273,19 @@ def _energies(link: LinkModel, bits: float, load: float, p: float):
     return e1, e2
 
 
-# Distinct triples per round-1 compression in `estimate_q`.  One message of
-# 10^5 triples keeps its records alive across enough collections for the
-# cyclic GC to scan the whole heap: on 120,000 distinct triples it took
-# 0.30 s, against 0.12 s with the collector off.  Slices this size die young.
-_ROUND1_SLICE = 512
-
-
 def estimate_q(g: ProbabilityGraph, corpus: Corpus,
                max_round: int = DEFAULT_MAX_ROUND) -> OmissionProfile:
-    """Measure per-stage omission ratios by compressing the corpus.
+    """Measure per-stage omission ratios over the corpus.
 
     Stages are aligned across samples by (round, cycle) position;
     ratios are pooled counts (total omitted / total candidates entering the
     stage).  Stages that omit nothing overall are dropped, so the profile
     only covers productive stages.  M is the mean triple count per sample.
 
-    At max_round 1 a triple's fate depends on the triple alone, so each
-    distinct triple of the corpus is compressed once, in knowledge graphs of
-    `_ROUND1_SLICE` triples, and the ones kept in full are weighed by their
-    multiplicity.  Later rounds condition on the rest of the sample, so each
-    sample is compressed.
+    At max_round 1 a triple is omitted exactly when its pair is in the graph
+    and its relation is the pair's `Quadruple.verdict`, as in `compress`, so
+    the distinct triples that match are counted with their multiplicity.
+    Later rounds condition on the rest of the sample, so each is compressed.
     """
     if corpus.n_samples == 0 or corpus.n_triples() == 0:
         raise ValidationError("corpus yields no triples")
@@ -302,14 +294,12 @@ def estimate_q(g: ProbabilityGraph, corpus: Corpus,
     if max_round == 1:
         counts = Counter(chain.from_iterable(kg.triples
                                              for kg in corpus.samples))
-        distinct = list(counts)
-        kept = 0  # occurrences of the triples round 1 keeps in full
-        for i in range(0, len(distinct), _ROUND1_SLICE):
-            msg, _ = compress(g, KnowledgeGraph(distinct[i:i + _ROUND1_SLICE]),
-                              max_round=1)
-            kept += sum(counts[t] for t in msg.full_triples)
-        n = corpus.n_triples()
-        pooled[(1, 0)] = [n, n - kept]
+        omitted = 0
+        for t, count in counts.items():
+            quad = g.quadruples.get((t.head, t.tail))
+            if quad is not None and quad.verdict == t.relation:
+                omitted += count
+        pooled[(1, 0)] = [corpus.n_triples(), omitted]
     else:
         for kg in corpus.samples:
             _, report = compress(g, kg, max_round=max_round)

@@ -1,6 +1,8 @@
 """Reference planner ingest: `estimate_q`, which compressed every sample at
 every round, and `build`, which grouped each triple occurrence by pair as it
-went.  Kept as the oracle for test_planner_equivalence.py.
+went.  Kept as the oracle for test_planner_equivalence.py.  Its round 1 runs
+`compress` itself, so it holds `estimate_q`'s count of verdict matches equal
+to what `compress` omits.
 
 The bodies are the replaced code unchanged; `compress`, `OmissionProfile` and
 the data classes are shared with semcomp.

@@ -165,6 +165,54 @@ def test_estimate_q(runner, workspace):
     assert all(0 < v <= 1 for v in doc["q"])
 
 
+def _estimate_q(runner, graph, corpus, max_round):
+    out = runner.invoke(main, ["estimate-q", "--graph", str(graph),
+                               "--corpus", str(corpus),
+                               "--max-round", str(max_round)])
+    assert out.exit_code == 0, out.output
+    return json.loads(out.output)["q"]
+
+
+def _write_corpus(path, samples):
+    path.write_text("".join(json.dumps({"sample": i, "triples": triples})
+                            + "\n" for i, triples in enumerate(samples, 1)))
+    return path
+
+
+def test_estimate_q_reads_labels_not_ids(runner, tmp_path):
+    """`estimate-q` maps the corpus through the graph's label tables, as
+    `compress` does: first-seen ids of another file mean nothing."""
+    graph = tmp_path / "graph.spgr"
+    runner.invoke(main, ["build-graph", "--corpus",
+                         str(_write_corpus(tmp_path / "corpus.jsonl", [
+                             [["a", "r", "b"]],
+                             [["a", "r", "b"], ["c", "s", "d"]]])),
+                         "--out", str(graph)])
+    # (x y z) has the ids (0, 0, 1) of the graph's (a r b), but none of its
+    # labels is in the graph: it is counted in M and kept in full.
+    stranger = _write_corpus(tmp_path / "stranger.jsonl", [[["x", "y", "z"]]])
+    for max_round in (1, 2):
+        assert _estimate_q(runner, graph, stranger, max_round) == []
+    out = runner.invoke(main, ["compress", "--graph", str(graph),
+                               "--input", str(stranger),
+                               "--out", str(tmp_path / "msg.scmp")])
+    assert out.exit_code == 2
+    assert "labels absent from the shared graph (x, y, z)" in out.output
+
+
+def test_estimate_q_ignores_first_seen_order(runner, workspace):
+    corpus = workspace / "corpus.jsonl"
+    graph = workspace / "graph.spgr"
+    runner.invoke(main, ["build-graph", "--corpus", str(corpus),
+                         "--out", str(graph)])
+    # Each sample's triples reversed: c, d, a, b, ... get other ids.
+    shuffled = _write_corpus(workspace / "shuffled.jsonl",
+                             [o["triples"][::-1] for o in CORPUS_LINES])
+    for max_round in (1, 2):
+        want = _estimate_q(runner, graph, corpus, max_round)
+        assert want and _estimate_q(runner, graph, shuffled, max_round) == want
+
+
 def test_optimize(runner, workspace):
     out = runner.invoke(main, ["optimize", "--config",
                                str(workspace / "link.yaml"), "--trace"])
@@ -523,7 +571,8 @@ def test_file_contract(name, damage, data):
 
 def test_message_crosses_processes(tmp_path):
     """The BS and the user are separate processes with their own string-hash
-    seeds: the graph and the message they write must not depend on it."""
+    seeds: the graph, the message, its report and the omission profile they
+    write must not depend on it."""
     corpus = random_corpus(random.Random(23), n_samples=15, n_entities=8)
     largest = max(corpus.samples, key=len)
     message = kg.Corpus([kg.KnowledgeGraph(largest.triples, sample_id=1)],
@@ -538,16 +587,20 @@ def test_message_crosses_processes(tmp_path):
                               cwd=tmp_path, env=env, capture_output=True,
                               text=True)
         assert proc.returncode == 0, proc.stderr
+        return proc.stdout
 
     for seed, out in ((1, "a.spgr"), (2, "b.spgr")):
         run(seed, "build-graph", "--corpus", "corpus.jsonl", "--out", out)
     assert ((tmp_path / "a.spgr").read_bytes()
             == (tmp_path / "b.spgr").read_bytes())
-    for seed, out in ((3, "a.scmp"), (4, "b.scmp")):
+    for seed, out in ((3, "a"), (4, "b")):
         run(seed, "compress", "--graph", "a.spgr", "--input", "message.jsonl",
-            "--max-round", "3", "--out", out)
+            "--max-round", "3", "--out", out + ".scmp",
+            "--report", out + ".json")
     sent = (tmp_path / "a.scmp").read_bytes()
     assert sent == (tmp_path / "b.scmp").read_bytes()
+    assert ((tmp_path / "a.json").read_text()
+            == (tmp_path / "b.json").read_text())
     assert any(rec.round > 1 for rec in decode_message(sent).omissions)
     run(5, "decompress", "--graph", "b.spgr", "--input", "a.scmp",
         "--out", "restored.jsonl")
@@ -557,3 +610,9 @@ def test_message_crosses_processes(tmp_path):
                  c.entities.label(t.tail)) for t in c.sample(1).triples}
     assert labelled(load_corpus(tmp_path / "restored.jsonl")) == labelled(
         message)
+    for max_round in ("1", "2"):
+        profiles = [run(seed, "estimate-q", "--graph", "a.spgr", "--corpus",
+                        "corpus.jsonl", "--max-round", max_round)
+                    for seed in (1, 5)]
+        assert profiles[0] == profiles[1]
+        assert json.loads(profiles[0])["q"]

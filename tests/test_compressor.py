@@ -1,11 +1,16 @@
+from itertools import combinations
+from math import comb
+
 import pytest
 
-from semcomp.compressor import (CompressedMessage, OmissionRecord, compress,
-                                decompress, encode_message)
+from semcomp.compressor import (CompressedMessage, OmissionRecord,
+                                _plain_scan_length, compress, decompress,
+                                encode_message)
 from semcomp.errors import (CorruptMessageError, IncompatibleKnowledgeError,
                             ValidationError)
 from semcomp.kg import KnowledgeGraph, Triple
 from semcomp.probgraph import build
+from semcomp.resource import estimate_q
 
 from conftest import corpus_from_samples, random_corpus
 
@@ -29,6 +34,17 @@ def toy():
         [("a", "r1", "b")],
     ])
     return corpus, build(corpus)
+
+
+def test_plain_scan_length_is_the_rank():
+    """The charge for a later-round search: the 1-based position of the hit
+    in the plain lexicographic scan, or every tuple on a miss."""
+    for n in range(10):
+        for width in range(1, 5):
+            for position, found in enumerate(combinations(range(n), width),
+                                             start=1):
+                assert _plain_scan_length(n, width, found) == position
+            assert _plain_scan_length(n, width, None) == comb(n, width)
 
 
 class TestCompress:
@@ -69,6 +85,7 @@ class TestCompress:
         g = build(corpus)
         for message in corpus.samples:
             compress(g, message, max_round=1)
+        estimate_q(g, corpus, max_round=1)
         assert not [q for q in g.quadruples.values() if "bits" in vars(q)]
         # Each pair carries one relation, so round 1 omits every triple but
         # the stranger (b, r, a), whose pair is unknown.

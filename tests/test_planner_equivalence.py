@@ -1,6 +1,7 @@
-"""Golden equivalence: `estimate_q` (one compression of the distinct triples
-at round 1) and `build` (sample ids gathered per distinct triple) against
-the per-occurrence implementations they replaced (legacy_planner.py)."""
+"""Golden equivalence: `estimate_q` (at round 1, the multiplicity of the
+distinct triples whose relation is their pair's verdict) and `build` (sample
+ids gathered per distinct triple) against the per-sample compressions and
+per-occurrence grouping they replaced (legacy_planner.py)."""
 
 import random
 
