@@ -8,7 +8,11 @@ cycles until a cycle omits nothing.  The condition bitsets are read once,
 when round 2 starts, and extended after each cycle by what it omitted.  A
 later cycle walks only the tuples that hold a condition the previous cycle
 omitted: its candidates missed every other tuple then, and the graph does
-not change.
+not change.  Root domination is decided once per message, also when round 2
+starts: a candidate whose support on its pair is empty or a subset of
+another relation's can never be the argmax, so it leaves the search, and
+each later cycle charges all such candidates together the plain scan's miss,
+comb(n, width) tuples per relation on their pairs.
 Decompression replays the argmax in message order, so the scheme is lossless
 by construction.  The messages and their byte format are `semcomp.wire`'s.
 """
@@ -59,11 +63,15 @@ class CompressionReport:
         return [s.omitted / s.candidates for s in self.stages if s.candidates]
 
 
-def _first_condition(g: ProbabilityGraph, t: Triple, cond: List[int],
-                     width: int, old: int, report: CompressionReport
-                     ) -> Optional[Tuple[int, ...]]:
+def _first_condition(search: tuple, cond: List[int], width: int, old: int,
+                     report: CompressionReport) -> Optional[Tuple[int, ...]]:
     """First `width`-tuple of indices into `cond`, in ascending lexicographic
-    order, whose event makes `t.relation` the unique argmax on t's pair.
+    order, whose event makes the target the unique argmax on its pair.
+
+    `search` is a candidate's state, read once by `compress` when round 2
+    starts: (triple, target bitset, the other relations' bitsets, the pair's
+    union, the number of relations on the pair).  The target is not
+    dominated at the root: `compress` keeps such candidates out of the search.
 
     A depth-first walk over combinations(range(len(cond)), width) that
     carries the intersection of the pair's union with the chosen condition
@@ -72,17 +80,16 @@ def _first_condition(g: ProbabilityGraph, t: Triple, cond: List[int],
     E within P then gives the target a count no larger than that relation's,
     so no tuple below it is a hit.
 
-    The caller knows that every tuple over cond[:old] misses: t missed all
-    of them in the previous cycle, and the graph does not change.  So a leaf
-    whose prefix holds only indices below `old` starts at `old`.  The charge,
-    `_plain_scan_length` of the hit per relation, ignores what the walk skips.
+    The caller knows that every tuple over cond[:old] misses: the candidate
+    missed all of them in the previous cycle, and the graph does not change.
+    So a leaf whose prefix holds only indices below `old` starts at `old`.
+    The charge, `_plain_scan_length` of the hit per relation, ignores what
+    the walk skips.
     """
     n = len(cond)
     if n < width:
         return None
-    bitsets, union = g.pair(t.head, t.tail).bits
-    mine = bitsets[t.relation]
-    others = [b for rid, b in bitsets.items() if rid != t.relation]
+    _, mine, others, union, relations = search
     evaluated = 0
 
     def dominated(prefix):
@@ -97,7 +104,7 @@ def _first_condition(g: ProbabilityGraph, t: Triple, cond: List[int],
                 start = old
             hits = mine & prefix
             for i in range(start, n):
-                # unique_max_relation(counts) == t.relation, without building
+                # unique_max_relation(counts) is the target, without building
                 # the counts: about half the search time on skewed messages.
                 count = (hits & cond[i]).bit_count()
                 if not count:
@@ -120,9 +127,8 @@ def _first_condition(g: ProbabilityGraph, t: Triple, cond: List[int],
                 return (i,) + found
         return None
 
-    found = None if dominated(union) else walk(0, 0, union)
-    report.comparison_count += (_plain_scan_length(n, width, found)
-                                * len(bitsets))
+    found = walk(0, 0, union)
+    report.comparison_count += _plain_scan_length(n, width, found) * relations
     report.combinations_evaluated += evaluated
     return found
 
@@ -173,28 +179,47 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
         report.comparison_count += len(quad.relations)
     report.stages.append(StageStats(1, 0, len(triples), len(omitted)))
 
+    # Each leftover candidate's search state, read once.  A target whose
+    # support is a subset of another relation's support on its pair (every
+    # relation on a pair has a sample, and a leftover's pair has two or more
+    # relations) is dominated at the root: no condition tuple of any width
+    # makes it the argmax, so it leaves the search here.
+    live = []
+    dead_relations = 0
+    if max_round > 1:
+        for t in candidates:
+            bitsets, union = quadruples[t.head, t.tail].bits
+            mine = bitsets[t.relation]
+            others = [b for rid, b in bitsets.items() if rid != t.relation]
+            if any(mine & b == mine for b in others):
+                dead_relations += len(bitsets)
+            else:
+                live.append((t, mine, others, union, len(bitsets)))
+
     # One bitset per omitted triple, in omission order.  A cycle reads the
     # list as it stood when the cycle began; the list then grows by what the
     # cycle omitted, and the last cycle of a round omits nothing, so the next
     # round starts from the same list.
     cond = ([quadruples[o.head, o.tail].bits[0][o.relation]
-             for o, _ in omitted] if candidates and max_round > 1 else [])
+             for o, _ in omitted] if live else [])
     for round_no in range(2, max_round + 1):
         width = round_no - 1
         cycle = old = 0
         while True:
             cycle += 1
-            first = len(omitted)
+            first = len(omitted)  # len(cond), whenever `cond` is built
+            report.comparison_count += dead_relations * _plain_scan_length(
+                first, width, None)
             still = []
-            for t in candidates:
-                chosen = _first_condition(g, t, cond, width, old, report)
+            for c in live:
+                chosen = _first_condition(c, cond, width, old, report)
                 if chosen is not None:
-                    omitted.append((t, chosen))
+                    omitted.append((c[0], chosen))
                 else:
-                    still.append(t)
+                    still.append(c)
             report.stages.append(StageStats(
                 round_no, cycle, len(triples) - first, len(omitted) - first))
-            candidates = still
+            live = still
             if len(omitted) == first:
                 break
             # The candidates left missed every tuple over `cond` as it

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import legacy_compressor as legacy
+from semcomp import compressor
 from semcomp.compressor import (CompressedMessage, OmissionRecord, compress,
                                 decompress, encode_message)
 from semcomp.errors import SemcompError
@@ -191,6 +192,43 @@ def test_dominated_target_evaluates_nothing():
         # 3 omitted conditions: C(3, 1) + C(3, 2) + C(3, 3) tuples, 2 each
         assert (report.comparison_count - round1
                 == 2 * sum((3, 3, 1)[:max_round - 1]))
+
+
+def test_all_dominated_leftovers_are_charged_unsearched(monkeypatch):
+    # A tie_heavy-style message: (t, w) carries "left" and "right" with equal
+    # supports {1, 2}, a round-1 tie, and (s, x) carries "sub" = {1, 3} inside
+    # "sup" = {1, 2, 3}.  Round 1 omits sup, c0, c1 and c2 and leaves left,
+    # right and sub, all three dominated at the root, with 2 relations each.
+    corpus = corpus_from_samples([
+        [("t", "left", "w"), ("t", "right", "w"), ("s", "sup", "x"),
+         ("s", "sub", "x"), ("c0", "k", "d0")],
+        [("t", "left", "w"), ("t", "right", "w"), ("s", "sup", "x"),
+         ("c0", "k", "d0"), ("c1", "k", "d1")],
+        [("s", "sup", "x"), ("s", "sub", "x"), ("c1", "k", "d1")],
+        [("c2", "k", "d2")],
+    ])
+    g = build(corpus)
+    message = _labelled(corpus, ("t", "left", "w"), ("t", "right", "w"),
+                        ("s", "sup", "x"), ("s", "sub", "x"),
+                        ("c0", "k", "d0"), ("c1", "k", "d1"),
+                        ("c2", "k", "d2"))
+
+    def never(*args):
+        raise AssertionError("searched a root-dominated candidate")
+
+    monkeypatch.setattr(compressor, "_first_condition", never)
+    for max_round in (1, 2, 3, 4):
+        msg, report = assert_matches_reference(g, message, max_round)
+        assert len(msg.full_triples) == 3
+        # one zero-omission stage per later round
+        assert [(s.round, s.cycle, s.candidates, s.omitted)
+                for s in report.stages] == [(1, 0, 7, 4)] + [
+                    (r, 1, 3, 0) for r in range(2, max_round + 1)]
+        assert report.combinations_evaluated == 0
+        # round 1: 2 + 2 + 2 + 2 + 1 + 1 + 1; round r: 6 dead relations
+        # times comb(4, r - 1) tuples over the 4 omitted conditions
+        assert report.comparison_count == 11 + sum(
+            (6 * 4, 6 * 6, 6 * 4)[:max_round - 1])
 
 
 def test_evaluated_combinations_bounded_by_model_count():
