@@ -14,7 +14,11 @@ another relation's can never be the argmax, so it leaves the search, and
 each later cycle charges all such candidates together the plain scan's miss,
 comb(n, width) tuples per relation on their pairs.
 Decompression replays the argmax in message order, so the scheme is lossless
-by construction.  The messages and their byte format are `semcomp.wire`'s.
+by construction.  A round-1 record reads its pair's `Quadruple.verdict`, as
+round 1 of `compress` does, so neither end builds a bitset on round-1
+traffic; a conditioned record reads `ProbabilityGraph.relation_counts`, where
+the conditioning rule is written.  The messages and their byte format are
+`semcomp.wire`'s.
 """
 
 from dataclasses import dataclass, field
@@ -159,25 +163,37 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
     report = CompressionReport()
     quadruples = g.quadruples
 
-    # (triple, conditions as positions in this list), omission order
-    omitted: List[Tuple[Triple, Tuple[int, ...]]] = []
-
     # Round 1: unconditional unique-mode relations.  It reads no bitset.
+    # `kept` is what round 1 leaves, in input order; later rounds only take
+    # triples out of it.  A triple whose pair (or relation) is absent from
+    # the graph can never be reconstructed, so it is a permanent full triple.
+    kept: List[Triple] = []
+    omitted: List[Triple] = []  # omission order
     candidates: List[Triple] = []
+    comparisons = 0
     for t in triples:
         quad = quadruples.get((t.head, t.tail))
-        # A triple whose pair (or relation) is absent from the graph can never
-        # be reconstructed, so it is a permanent pass-through full triple.
         if quad is None:
-            continue
-        if quad.verdict == t.relation:
-            omitted.append((t, ()))
-        elif all(rid != t.relation for rid, _ in quad.relations):
-            continue
+            kept.append(t)
+        elif quad.verdict == t.relation:
+            omitted.append(t)
+            comparisons += len(quad.relations)
         else:
-            candidates.append(t)
-        report.comparison_count += len(quad.relations)
-    report.stages.append(StageStats(1, 0, len(triples), len(omitted)))
+            kept.append(t)
+            for rid, _ in quad.relations:
+                if rid == t.relation:
+                    candidates.append(t)
+                    comparisons += len(quad.relations)
+                    break
+    report.comparison_count = comparisons
+    round1 = len(omitted)
+    report.stages.append(StageStats(1, 0, len(triples), round1))
+    # A round-1 record has no conditions, so it does not depend on how many
+    # full triples the later rounds leave.  tuple.__new__ skips the named
+    # tuple's Python-level __new__.
+    new = tuple.__new__
+    records = [new(OmissionRecord, (t.head, t.tail, ())) for t in omitted]
+    chosen_by: List[Tuple[int, ...]] = []  # conditions of omitted[round1:]
 
     # Each leftover candidate's search state, read once.  A target whose
     # support is a subset of another relation's support on its pair (every
@@ -201,7 +217,7 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
     # cycle omitted, and the last cycle of a round omits nothing, so the next
     # round starts from the same list.
     cond = ([quadruples[o.head, o.tail].bits[0][o.relation]
-             for o, _ in omitted] if live else [])
+             for o in omitted] if live else [])
     for round_no in range(2, max_round + 1):
         width = round_no - 1
         cycle = old = 0
@@ -214,7 +230,8 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
             for c in live:
                 chosen = _first_condition(c, cond, width, old, report)
                 if chosen is not None:
-                    omitted.append((c[0], chosen))
+                    omitted.append(c[0])
+                    chosen_by.append(chosen)
                 else:
                     still.append(c)
             report.stages.append(StageStats(
@@ -227,19 +244,17 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
             # the conditions appended here.
             old = len(cond)
             cond += [quadruples[o.head, o.tail].bits[0][o.relation]
-                     for o, _ in omitted[first:]]
+                     for o in omitted[first:]]
 
-    omitted_set = {t for t, _ in omitted}
-    full = [t for t in triples if t not in omitted_set]
+    if chosen_by:
+        later = set(omitted[round1:])
+        full = [t for t in kept if t not in later]
+    else:
+        full = kept
     offset = len(full)
-    # tuple.__new__ skips the named tuple's Python-level __new__, and a
-    # round-1 record reuses the empty tuple.
-    new = tuple.__new__
-    records = [
-        new(OmissionRecord, (t.head, t.tail,
-                             tuple([offset + i for i in chosen])
-                             if chosen else ()))
-        for t, chosen in omitted]
+    records += [new(OmissionRecord, (t.head, t.tail,
+                                     tuple([offset + i for i in chosen])))
+                for t, chosen in zip(omitted[round1:], chosen_by)]
     msg = CompressedMessage(g.content_hash, full, records)
     return msg, report
 
@@ -250,28 +265,34 @@ def decompress(g: ProbabilityGraph, msg: CompressedMessage) -> KnowledgeGraph:
         raise IncompatibleKnowledgeError(
             "message was compressed against different background knowledge")
 
+    quadruples = g.quadruples
     recon: List[Triple] = list(msg.full_triples)
-    for i, rec in enumerate(msg.omissions):
-        limit = len(msg.full_triples) + i
-        if any(not 0 <= c < limit for c in rec.conditions):
-            raise CorruptMessageError(
-                "condition index beyond reconstructable prefix")
-        try:
-            if rec.conditions:
+    new = tuple.__new__
+    for head, tail, conditions in msg.omissions:
+        if conditions:
+            # Every condition must name a triple already reconstructed.
+            if min(conditions) < 0 or max(conditions) >= len(recon):
+                raise CorruptMessageError(
+                    "condition index beyond reconstructable prefix")
+            try:
                 counts, denom = g.relation_counts(
-                    rec.head, rec.tail, [recon[c] for c in rec.conditions])
-                rid = unique_max_relation(counts)
-            else:  # every relation on a pair has a sample: denom >= 1
-                rid, denom = g.pair(rec.head, rec.tail).verdict, 1
-        except SemcompError as exc:
-            raise CorruptMessageError(str(exc)) from exc
-        if denom == 0:
-            raise CorruptMessageError("empty conditioning event")
+                    head, tail, [recon[c] for c in conditions])
+            except SemcompError as exc:
+                raise CorruptMessageError(str(exc)) from exc
+            if denom == 0:
+                raise CorruptMessageError("empty conditioning event")
+            rid = unique_max_relation(counts)
+        else:  # every relation on a pair has a sample: the total is >= 1
+            quad = quadruples.get((head, tail))
+            if quad is None:
+                raise CorruptMessageError(
+                    "no quadruple for pair (%d, %d)" % (head, tail))
+            rid = quad.verdict
         if rid is None:
             raise CorruptMessageError(
                 "ambiguous argmax while reconstructing (%d, %d)"
-                % (rec.head, rec.tail))
-        recon.append(Triple(rec.head, rid, rec.tail))
+                % (head, tail))
+        recon.append(new(Triple, (head, rid, tail)))
 
     try:
         return KnowledgeGraph(recon)

@@ -120,9 +120,11 @@ class ProbabilityGraph:
                         ) -> Tuple[List[Tuple[int, int]], int]:
         """Integer count per relation on the pair, and the denominator.
 
-        This is the conditioning rule: the receiver's reconstruction and the
-        probability queries read it, and the sender's search in `compressor`
-        tests it inline on the same bitsets.
+        This is the conditioning rule: the receiver's replay of a
+        conditioned record and the probability queries read it, and the
+        sender's search in `compressor` tests it inline on the same bitsets.
+        A round-1 record is replayed from `Quadruple.verdict`, the unique
+        argmax of the unconditional counts.
         Returns ([(relation id, count), ...] in relation order, denominator).
         With empty `given` each count is |N_r| and the denominator is their
         sum.  Otherwise the conditioning event is the intersection of the

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import semcomp
 from semcomp import kg
 from semcomp.cli import main
-from semcomp.compressor import decode_message
+from semcomp.compressor import (CompressedMessage, OmissionRecord,
+                                decode_message, encode_message)
 from semcomp.errors import GraphDecodeError
 from semcomp.experiments import CONFIG_KEYS, SWEEP_VARIABLES
 from semcomp.kg import load_corpus
@@ -150,6 +151,26 @@ def test_decompress_rejects_non_minimal_widths(runner, workspace,
                                "--out", str(workspace / "out.jsonl")])
     assert out.exit_code == 2
     assert "id widths are not the smallest that fit" in out.output
+
+
+@pytest.mark.parametrize("records", [
+    [("a", "y", ())],                    # no such pair
+    [("c", "d", ()), ("c", "d", ())],    # c s d twice: a duplicate triple
+    [("c", "d", ()), ("x", "y", (0,))],  # x u y given c s d: empty event
+])
+def test_decompress_corrupt_records_exit_2(runner, workspace, records):
+    graph, bad = workspace / "graph.spgr", workspace / "bad.scmp"
+    runner.invoke(main, ["build-graph", "--corpus",
+                         str(workspace / "corpus.jsonl"), "--out", str(graph)])
+    g = ProbabilityGraph.load(graph)
+    ent = g.entities.id_of
+    bad.write_bytes(encode_message(CompressedMessage(g.content_hash, [], [
+        OmissionRecord(ent(h), ent(t), conds) for h, t, conds in records])))
+    out = runner.invoke(main, ["decompress", "--graph", str(graph),
+                               "--input", str(bad),
+                               "--out", str(workspace / "out.jsonl")])
+    assert out.exit_code == 2
+    assert out.output.startswith("error:")
 
 
 def test_estimate_q(runner, workspace):

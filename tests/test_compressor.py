@@ -4,12 +4,12 @@ from math import comb
 import pytest
 
 from semcomp.compressor import (CompressedMessage, OmissionRecord,
-                                _plain_scan_length, compress, decompress,
-                                encode_message)
+                                _plain_scan_length, compress, decode_message,
+                                decompress, encode_message)
 from semcomp.errors import (CorruptMessageError, IncompatibleKnowledgeError,
                             ValidationError)
 from semcomp.kg import KnowledgeGraph, Triple
-from semcomp.probgraph import build
+from semcomp.probgraph import ProbabilityGraph, build
 from semcomp.resource import estimate_q
 
 from conftest import corpus_from_samples, random_corpus
@@ -97,6 +97,20 @@ class TestCompress:
                                             + [stranger]), max_round=3)
         assert msg.full_triples == [stranger] and len(msg.omissions) == 2
         assert not [q for q in g.quadruples.values() if "bits" in vars(q)]
+
+    def test_receiver_builds_no_bitset_on_round_1(self, rng):
+        # A round-1 record is replayed from the receiver's verdicts alone.
+        corpus = random_corpus(rng, n_samples=12)
+        g = build(corpus)
+        receiver = ProbabilityGraph.from_bytes(g.to_bytes())
+        for message in corpus.samples:
+            msg, _ = compress(g, message, max_round=1)
+            restored = decompress(receiver,
+                                  decode_message(encode_message(msg)))
+            assert restored.triple_set() == message.triple_set()
+        assert any("verdict" in vars(q) for q in receiver.quadruples.values())
+        assert not [q for q in receiver.quadruples.values()
+                    if "bits" in vars(q)]
 
     def test_round_1_only_misses_conditional(self, toy):
         corpus, g = toy

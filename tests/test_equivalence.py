@@ -5,12 +5,14 @@ a plain combinations scan (legacy_compressor.py)."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import legacy_compressor as legacy
 from semcomp import compressor
 from semcomp.compressor import (CompressedMessage, OmissionRecord, compress,
                                 decompress, encode_message)
-from semcomp.errors import SemcompError
+from semcomp.errors import CorruptMessageError, SemcompError
 from semcomp.kg import KnowledgeGraph, Triple
 from semcomp.probgraph import build
 
@@ -109,6 +111,40 @@ def _labelled(corpus, *label_triples):
     ent, rel = corpus.entities.id_of, corpus.relations.id_of
     return KnowledgeGraph([Triple(ent(h), rel(r), ent(t))
                            for h, r, t in label_triples])
+
+
+def test_round_1_outcomes_interleaved_match_reference():
+    # Round 1's four outcomes, in shuffled orders: a verdict hit (c s d,
+    # x u y, a r1 b), a candidate on a tied pair (t left w, t right w), an
+    # unknown pair (b r1 a) and a known pair with an unknown relation
+    # (c u d).  a r2 b is a candidate too, which round 2 omits given x u y.
+    corpus = corpus_from_samples([
+        [("a", "r1", "b"), ("t", "left", "w"), ("t", "right", "w"),
+         ("c", "s", "d")],
+        [("a", "r2", "b"), ("x", "u", "y"), ("t", "left", "w"),
+         ("t", "right", "w")],
+        [("a", "r1", "b"), ("c", "s", "d")],
+    ])
+    g = build(corpus)
+    outcomes = {
+        ("c", "s", "d"): "hit", ("x", "u", "y"): "hit",
+        ("a", "r1", "b"): "hit", ("t", "left", "w"): "tied",
+        ("t", "right", "w"): "tied", ("a", "r2", "b"): "candidate",
+        ("b", "r1", "a"): "unknown pair", ("c", "u", "d"): "unknown relation",
+    }
+    r2b = _labelled(corpus, ("a", "r2", "b")).triples[0]
+    rng = random.Random(16)
+    order = list(outcomes)
+    for _ in range(6):
+        rng.shuffle(order)
+        message = _labelled(corpus, *order)
+        kept = [t for t, label in zip(message.triples, order)
+                if outcomes[label] != "hit"]
+        for max_round in (1, 2, 3, 4):
+            msg, report = assert_matches_reference(g, message, max_round)
+            assert report.stages[0].omitted == 3
+            assert msg.full_triples == (
+                kept if max_round == 1 else [t for t in kept if t != r2b])
 
 
 def test_pruned_subtree_before_first_hit():
@@ -251,12 +287,12 @@ def test_evaluated_combinations_bounded_by_model_count():
     assert pruned
 
 
-def _error_class(fn, *args):
+def _outcome(fn, g, msg):
+    """The reconstructed triple list, or the class of the error raised."""
     try:
-        fn(*args)
+        return fn(g, msg).triples
     except SemcompError as exc:
         return type(exc)
-    return None
 
 
 def test_corrupt_records_raise_like_reference():
@@ -269,26 +305,65 @@ def test_corrupt_records_raise_like_reference():
     ])
     g = build(corpus)
     ent, rel = corpus.entities.id_of, corpus.relations.id_of
-    a, b, c, d, e, f = (ent(n) for n in "abcdef")
-    xuy = Triple(ent("x"), rel("u"), ent("y"))
+    a, b, c, d, e, f, x, y = (ent(n) for n in "abcdefxy")
+    xuy = Triple(x, rel("u"), y)
     ety = Triple(e, rel("t"), f)
     no_pair = Triple(a, rel("u"), f)
     no_relation = Triple(a, rel("u"), b)
     full = [xuy, ety, no_pair, no_relation]
+    corrupt = CorruptMessageError
     records = [
-        OmissionRecord(a, b, conditions=(7,)),  # beyond the prefix
-        OmissionRecord(a, f),                   # unknown pair
-        OmissionRecord(a, b, conditions=(1,)),  # event misses the pair
-        OmissionRecord(e, f),                   # tied argmax
-        OmissionRecord(a, b, conditions=(2,)),  # condition pair absent
-        OmissionRecord(a, b, conditions=(3,)),  # condition relation absent
-        OmissionRecord(c, d, conditions=(1,)),  # valid
-        OmissionRecord(a, b),                   # valid
+        (OmissionRecord(a, b, conditions=(7,)), corrupt),   # beyond prefix
+        # recon[-3] would be e t f, under which c s d is a valid replay
+        (OmissionRecord(c, d, conditions=(-3,)), corrupt),  # negative
+        (OmissionRecord(a, b, conditions=(0, 7)), corrupt),  # second only
+        (OmissionRecord(a, f), corrupt),                    # unknown pair
+        (OmissionRecord(a, b, conditions=(1,)), corrupt),   # event misses
+        (OmissionRecord(e, f), corrupt),                    # tied argmax
+        # under x u y = {1, 3}, r = {1, 2} and q = {3} count 1 each
+        (OmissionRecord(a, b, conditions=(0,)), corrupt),   # tied event
+        (OmissionRecord(a, b, conditions=(2,)), corrupt),   # pair absent
+        (OmissionRecord(a, b, conditions=(3,)), corrupt),   # relation absent
+        (OmissionRecord(x, y), corrupt),                    # rebuilds xuy
+        (OmissionRecord(c, d, conditions=(1,)), None),      # valid
+        (OmissionRecord(a, b), None),                       # valid
     ]
-    for record in records:
+    for record, expected in records:
         msg = CompressedMessage(g.content_hash, full, [record])
-        got = _error_class(decompress, g, msg)
-        assert got is _error_class(legacy.decompress, g, msg), record
+        got = _outcome(decompress, g, msg)
+        assert got == _outcome(legacy.decompress, g, msg), record
+        assert (got is corrupt) == (expected is corrupt), record
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_replay_matches_reference_on_hand_built_records(seed, data):
+    """Valid or corrupt, a record list decompresses to the same triples as
+    the reference, or fails with the same error class."""
+    corpus = random_corpus(random.Random(seed),
+                           n_samples=data.draw(st.integers(1, 8)))
+    g = build(corpus)
+    n_ent, n_rel = len(corpus.entities), len(corpus.relations)
+    # Ids one past each table reach pairs and relations the graph lacks.
+    triple = st.one_of(
+        st.sampled_from(sorted(set(corpus.iter_triples()))),
+        st.builds(Triple, st.integers(0, n_ent), st.integers(0, n_rel),
+                  st.integers(0, n_ent)))
+    pair = st.one_of(st.sampled_from(sorted(g.quadruples)),
+                     st.tuples(st.integers(0, n_ent), st.integers(0, n_ent)))
+    record = st.builds(lambda p, conds: OmissionRecord(*p, tuple(conds)),
+                       pair, st.lists(st.integers(-1, 8), max_size=2))
+    if data.draw(st.booleans(), label="from compress"):
+        sample = data.draw(st.sampled_from(corpus.samples))
+        sent, _ = compress(g, sample, max_round=data.draw(st.integers(1, 3)))
+        full, records = sent.full_triples, sent.omissions
+    else:
+        full, records = [], []
+    full = full + data.draw(st.lists(triple, max_size=3))
+    records = records + data.draw(st.lists(record, max_size=4))
+    msg = CompressedMessage(g.content_hash, full, records)
+    assert (_outcome(decompress, g, msg)
+            == _outcome(legacy.decompress, g, msg))
 
 
 def test_relation_counts_match_counting_oracle(rng):
