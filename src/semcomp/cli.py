@@ -124,27 +124,43 @@ def compress_cmd(graph_path, input_path, max_round, out_path, report_path):
                 "comparison_count": report.comparison_count,
                 "combinations_evaluated": report.combinations_evaluated,
                 "observed_ratios": report.observed_ratios(),
-                "wire": _wire_block(msg),
+                "wire": _wire_block(graph, msg),
             }, fh, indent=2)
             fh.write("\n")
 
 
-def _wire_block(msg):
+def _wire_block(graph, msg):
     """The encoded message's bytes by part, beside the energy model's
-    `payload_bits / 8` at the default bits per field.  Parts that are not
-    whole bytes are fractions; they sum to `total`, the file's size."""
+    `payload_bits / 8` at the default bits per field and the bytes of the
+    same triples sent with no omission.  Parts that are not whole bytes are
+    fractions; they sum to `total`, the file's size."""
     size = wire.message_size(msg)
     model = resource.payload_bits(resource.LinkModel(), msg.total_triples,
                                   len(msg.omissions))
     return {
         "header": size.header,
-        "full_triples": size.full_triples / 8,
+        "known": size.known / 8,
+        "escaped": size.escaped / 8,
         "records": {str(r): bits / 8 for r, bits in size.records.items()},
         "conditions": size.conditions / 8,
         "padding": size.padding / 8,
         "total": size.total,
+        "without_omission": wire.message_size(
+            _without_omission(graph, msg)).total,
         "model": model / 8,
     }
+
+
+def _without_omission(graph, msg):
+    """`msg` with each omission record sent as the known triple it stands
+    for: the relation the receiver replays, at its rank on the pair."""
+    restored = compressor.decompress(graph, msg).triples
+    known = list(msg.known)
+    for rec, triple in zip(msg.omissions,
+                           restored[len(known) + len(msg.escaped):]):
+        known.append((rec.pair,
+                      graph.pair_table[rec.pair].triples.index(triple)))
+    return wire.CompressedMessage(msg.graph_hash, known, msg.escaped, [])
 
 
 @main.command("decompress")

@@ -13,8 +13,12 @@ starts: a candidate whose support on its pair is empty or a subset of
 another relation's can never be the argmax, so it leaves the search, and
 each later cycle charges all such candidates together the plain scan's miss,
 comb(n, width) tuples per relation on their pairs.
-Decompression replays the argmax in message order, so the scheme is lossless
-by construction.  A round-1 record reads its pair's `Quadruple.verdict`, as
+A message names each triple by its place in the shared graph: a full
+triple the graph holds is its pair's index in `ProbabilityGraph.pair_table`
+and its relation's rank on the pair, and an omission record is its pair's
+index.  Decompression resolves those against the receiver's graph and
+replays the argmax in message order, so the scheme is lossless by
+construction.  A round-1 record reads its pair's `Quadruple.verdict`, as
 round 1 of `compress` does, so neither end builds a bitset on round-1
 traffic; a conditioned record reads `ProbabilityGraph.relation_counts`, where
 the conditioning rule is written.  The messages and their byte format are
@@ -73,9 +77,10 @@ def _first_condition(search: tuple, cond: List[int], width: int, old: int,
     order, whose event makes the target the unique argmax on its pair.
 
     `search` is a candidate's state, read once by `compress` when round 2
-    starts: (triple, target bitset, the other relations' bitsets, the pair's
-    union, the number of relations on the pair).  The target is not
-    dominated at the root: `compress` keeps such candidates out of the search.
+    starts: (the candidate's (pair index, rank) code, target bitset, the
+    other relations' bitsets, the pair's union, the number of relations on
+    the pair).  The target is not dominated at the root: `compress` keeps
+    such candidates out of the search.
 
     A depth-first walk over combinations(range(len(cond)), width) that
     carries the intersection of the pair's union with the chosen condition
@@ -161,102 +166,125 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
 
     triples = list(kg.triples)
     report = CompressionReport()
-    quadruples = g.quadruples
+    table, index = g.pair_table, g.pair_index
 
     # Round 1: unconditional unique-mode relations.  It reads no bitset.
-    # `kept` is what round 1 leaves, in input order; later rounds only take
-    # triples out of it.  A triple whose pair (or relation) is absent from
-    # the graph can never be reconstructed, so it is a permanent full triple.
-    kept: List[Triple] = []
-    omitted: List[Triple] = []  # omission order
-    candidates: List[Triple] = []
+    # A triple whose pair (or relation) is absent from the graph can never
+    # be reconstructed, so it is a permanent full triple, sent escaped.
+    # Every other triple round 1 leaves is a candidate, kept as its (pair
+    # index, rank) code in input order; later rounds only take codes out.
+    escaped: List[Triple] = []
+    codes: List[Tuple[int, int]] = []
+    round1_pairs: List[int] = []  # pair indices of the round-1 omissions
     comparisons = 0
     for t in triples:
-        quad = quadruples.get((t.head, t.tail))
-        if quad is None:
-            kept.append(t)
-        elif quad.verdict == t.relation:
-            omitted.append(t)
+        head, relation, tail = t
+        i = index.get((head, tail))
+        if i is None:
+            escaped.append(t)
+            continue
+        quad = table[i]
+        if quad.verdict == relation:
+            round1_pairs.append(i)
             comparisons += len(quad.relations)
+            continue
+        rank = 0
+        for rid, _ in quad.relations:
+            if rid == relation:
+                codes.append((i, rank))
+                comparisons += len(quad.relations)
+                break
+            rank += 1
         else:
-            kept.append(t)
-            for rid, _ in quad.relations:
-                if rid == t.relation:
-                    candidates.append(t)
-                    comparisons += len(quad.relations)
-                    break
+            escaped.append(t)
     report.comparison_count = comparisons
-    round1 = len(omitted)
+    round1 = len(round1_pairs)
     report.stages.append(StageStats(1, 0, len(triples), round1))
     # A round-1 record has no conditions, so it does not depend on how many
     # full triples the later rounds leave.  tuple.__new__ skips the named
     # tuple's Python-level __new__.
     new = tuple.__new__
-    records = [new(OmissionRecord, (t.head, t.tail, ())) for t in omitted]
-    chosen_by: List[Tuple[int, ...]] = []  # conditions of omitted[round1:]
+    records = [new(OmissionRecord, (i, ())) for i in round1_pairs]
 
-    # Each leftover candidate's search state, read once.  A target whose
-    # support is a subset of another relation's support on its pair (every
-    # relation on a pair has a sample, and a leftover's pair has two or more
-    # relations) is dominated at the root: no condition tuple of any width
-    # makes it the argmax, so it leaves the search here.
+    # Each leftover candidate's search state, read once: (its code, target
+    # bitset, the other relations' bitsets, the pair's union, the number of
+    # relations on the pair).  A target whose support is a subset of another
+    # relation's support on its pair (every relation on a pair has a sample,
+    # and a leftover's pair has two or more relations) is dominated at the
+    # root: no condition tuple of any width makes it the argmax, so it leaves
+    # the search here.
     live = []
     dead_relations = 0
     if max_round > 1:
-        for t in candidates:
-            bitsets, union = quadruples[t.head, t.tail].bits
-            mine = bitsets[t.relation]
-            others = [b for rid, b in bitsets.items() if rid != t.relation]
+        for code in codes:
+            quad = table[code[0]]
+            rid = quad.relations[code[1]][0]
+            bitsets, union = quad.bits
+            mine = bitsets[rid]
+            others = [b for r, b in bitsets.items() if r != rid]
             if any(mine & b == mine for b in others):
                 dead_relations += len(bitsets)
             else:
-                live.append((t, mine, others, union, len(bitsets)))
+                live.append((code, mine, others, union, len(bitsets)))
 
-    # One bitset per omitted triple, in omission order.  A cycle reads the
-    # list as it stood when the cycle began; the list then grows by what the
-    # cycle omitted, and the last cycle of a round omits nothing, so the next
-    # round starts from the same list.
-    cond = ([quadruples[o.head, o.tail].bits[0][o.relation]
-             for o in omitted] if live else [])
+    # One bitset per omitted triple, in omission order: a round-1 omission's
+    # relation is its pair's verdict, and a later one's bitset is its search
+    # state's target.  A cycle reads the list as it stood when the cycle
+    # began; the list then grows by what the cycle omitted, and the last
+    # cycle of a round omits nothing, so the next round starts from the same
+    # list.
+    cond = [table[i].bits[0][table[i].verdict]
+            for i in round1_pairs] if live else []
+    hits = []  # (search state, conditions) per later omission, in order
+    n_omitted = round1
     for round_no in range(2, max_round + 1):
         width = round_no - 1
         cycle = old = 0
         while True:
             cycle += 1
-            first = len(omitted)  # len(cond), whenever `cond` is built
+            first = n_omitted  # len(cond), whenever `cond` is built
             report.comparison_count += dead_relations * _plain_scan_length(
                 first, width, None)
             still = []
             for c in live:
                 chosen = _first_condition(c, cond, width, old, report)
                 if chosen is not None:
-                    omitted.append(c[0])
-                    chosen_by.append(chosen)
+                    hits.append((c, chosen))
                 else:
                     still.append(c)
+            n_omitted += len(live) - len(still)
             report.stages.append(StageStats(
-                round_no, cycle, len(triples) - first, len(omitted) - first))
+                round_no, cycle, len(triples) - first, n_omitted - first))
             live = still
-            if len(omitted) == first:
+            if n_omitted == first:
                 break
             # The candidates left missed every tuple over `cond` as it
             # stands, so the next cycle searches only tuples that hold one of
             # the conditions appended here.
-            old = len(cond)
-            cond += [quadruples[o.head, o.tail].bits[0][o.relation]
-                     for o in omitted[first:]]
+            old = first
+            cond += [c[1] for c, _ in hits[first - n_omitted:]]
 
-    if chosen_by:
-        later = set(omitted[round1:])
-        full = [t for t in kept if t not in later]
+    if hits:
+        later = {c[0] for c, _ in hits}
+        known = [code for code in codes if code not in later]
     else:
-        full = kept
-    offset = len(full)
-    records += [new(OmissionRecord, (t.head, t.tail,
+        known = codes
+    offset = len(known) + len(escaped)
+    records += [new(OmissionRecord, (c[0][0],
                                      tuple([offset + i for i in chosen])))
-                for t, chosen in zip(omitted[round1:], chosen_by)]
-    msg = CompressedMessage(g.content_hash, full, records)
+                for c, chosen in hits]
+    msg = CompressedMessage(g.content_hash, known, escaped, records)
     return msg, report
+
+
+def _unresolved(table, pair: int, rank: int = 0) -> str:
+    """Why the receiver's pair table has no triple at (pair, rank)."""
+    if not 0 <= pair < len(table):
+        return "pair index %d beyond the graph's %d pairs" % (pair,
+                                                              len(table))
+    quad = table[pair]
+    return ("rank %d beyond the %d relations of pair (%d, %d)"
+            % (rank, len(quad.relations), quad.head, quad.tail))
 
 
 def decompress(g: ProbabilityGraph, msg: CompressedMessage) -> KnowledgeGraph:
@@ -265,10 +293,22 @@ def decompress(g: ProbabilityGraph, msg: CompressedMessage) -> KnowledgeGraph:
         raise IncompatibleKnowledgeError(
             "message was compressed against different background knowledge")
 
-    quadruples = g.quadruples
-    recon: List[Triple] = list(msg.full_triples)
+    table = g.pair_table
+    recon: List[Triple] = []
+    for pair, rank in msg.known:
+        if pair < 0 or rank < 0:
+            raise CorruptMessageError(_unresolved(table, pair, rank))
+        try:
+            recon.append(table[pair].triples[rank])
+        except IndexError:
+            raise CorruptMessageError(_unresolved(table, pair, rank)) from None
+    recon += msg.escaped
     new = tuple.__new__
-    for head, tail, conditions in msg.omissions:
+    for pair, conditions in msg.omissions:
+        if not 0 <= pair < len(table):
+            raise CorruptMessageError(_unresolved(table, pair))
+        quad = table[pair]
+        head, tail = quad.head, quad.tail
         if conditions:
             # Every condition must name a triple already reconstructed.
             if min(conditions) < 0 or max(conditions) >= len(recon):
@@ -283,10 +323,6 @@ def decompress(g: ProbabilityGraph, msg: CompressedMessage) -> KnowledgeGraph:
                 raise CorruptMessageError("empty conditioning event")
             rid = unique_max_relation(counts)
         else:  # every relation on a pair has a sample: the total is >= 1
-            quad = quadruples.get((head, tail))
-            if quad is None:
-                raise CorruptMessageError(
-                    "no quadruple for pair (%d, %d)" % (head, tail))
             rid = quad.verdict
         if rid is None:
             raise CorruptMessageError(

@@ -6,7 +6,9 @@ ratios (fractions.Fraction) so argmax comparisons are tie-exact.
 
 A `.spgr` file is magic b"SPGR", the u16 version (2), u32 N and u32 pair
 count, a sha256 digest, and the body.  The digest covers the version, N, the
-pair count and the body, and it is the graph's `content_hash`.
+pair count and the body, and it is the graph's `content_hash`.  The body
+lists the quadruples in `ProbabilityGraph.pair_table` order, which is also
+the order in which a message names a pair by its index.
 """
 
 import hashlib
@@ -30,8 +32,8 @@ FORMAT_VERSION = 2
 class Quadruple:
     """One (head, tail) pair's state: its relations and what they imply.
 
-    `bits` and `verdict` are derived from `relations` on first use and kept
-    on the quadruple, so a pair no query touches holds neither.
+    `bits`, `triples` and `verdict` are derived from `relations` on first
+    use and kept on the quadruple, so a pair no query touches holds none.
     """
     head: int
     tail: int
@@ -54,6 +56,13 @@ class Quadruple:
         for b in bitsets.values():
             union |= b
         return bitsets, union
+
+    @cached_property
+    def triples(self) -> Tuple[Triple, ...]:
+        """The pair's triples in relation order: a relation's rank on the
+        pair is its triple's index here."""
+        return tuple(Triple(self.head, rid, self.tail)
+                     for rid, _ in self.relations)
 
     @cached_property
     def verdict(self) -> Optional[int]:
@@ -101,6 +110,19 @@ class ProbabilityGraph:
     @property
     def n_pairs(self) -> int:
         return len(self.quadruples)
+
+    @cached_property
+    def pair_table(self) -> List[Quadruple]:
+        """The quadruples in ascending (head, tail) order: the `.spgr` body's
+        order, and the order in which a message's pair index counts."""
+        quadruples = self.quadruples
+        return [quadruples[pair] for pair in sorted(quadruples)]
+
+    @cached_property
+    def pair_index(self) -> Dict[Tuple[int, int], int]:
+        """(head, tail) -> the pair's position in `pair_table`."""
+        return {(quad.head, quad.tail): i
+                for i, quad in enumerate(self.pair_table)}
 
     def pair(self, head: int, tail: int) -> Quadruple:
         quad = self.quadruples.get((head, tail))
@@ -189,9 +211,9 @@ class ProbabilityGraph:
 
         put_table(self.entities)
         put_table(self.relations)
-        for (head, tail) in sorted(self.quadruples):
-            quad = self.quadruples[(head, tail)]
-            out.extend(struct.pack("<III", head, tail, len(quad.relations)))
+        for quad in self.pair_table:
+            out.extend(struct.pack("<III", quad.head, quad.tail,
+                                   len(quad.relations)))
             for rid, samples in quad.relations:
                 out.extend(struct.pack("<II", rid, len(samples)))
                 prev = 0
@@ -256,6 +278,11 @@ class ProbabilityGraph:
         entities = take_table()
         relations = take_table()
         n_entities, n_relations = len(entities), len(relations)
+        # Equal sample ids share one int object, as in a built graph.  The
+        # body holds at most one id per 4 bytes, so a table of the ids up to
+        # N, cut at that count, is bounded by the file, not by N; an id past
+        # the table (in a file of fewer ids than N) is kept as read.
+        shared = list(range(min(n_samples, (len(view) - pos) // 4) + 1))
         quadruples = {}
         prev_pair = (-1, -1)
         for _ in range(n_pairs):
@@ -286,7 +313,11 @@ class ProbabilityGraph:
                 if 0 in deltas:
                     raise GraphDecodeError(
                         "sample ids must strictly increase from 1")
-                samples = tuple(accumulate(deltas))
+                try:
+                    samples = tuple(map(shared.__getitem__,
+                                        accumulate(deltas)))
+                except IndexError:  # an id past the table, or past N
+                    samples = tuple(accumulate(deltas))
                 if samples[-1] > n_samples:  # also bounds its bitset's width
                     raise GraphDecodeError("sample id beyond the sample count")
                 rels.append((rid, samples))

@@ -1,36 +1,47 @@
-"""Wire codec for compressed messages: the `SCMP` format, version 2.
+"""Wire codec for compressed messages: the `SCMP` format, version 3.
 
-A message is a header and a body of bit-packed records:
+Sender and receiver hold the same probability graph, so a message names a
+triple by its place in that graph: the index of its (head, tail) pair in
+`ProbabilityGraph.pair_table` and the rank of its relation among the pair's
+`Quadruple.relations`.  Only a triple whose pair or relation the graph lacks
+is sent with its ids.  A message is a header and a body of bit-packed
+records:
 
     offset  size  field
     0       4     magic b"SCMP"
-    4       2     version, u16 little-endian (2)
+    4       2     version, u16 little-endian (3)
     6       32    graph hash
     38      16    digest: blake2b-128 over every other byte of the message
-    54      var   count of full triples (unsigned LEB128)
+    54      var   counts of known and of escaped triples (unsigned LEB128)
             var   count of runs (LEB128): maximal blocks of consecutive
                   omission records of one round
             var   per run, its round and its record count (LEB128 each)
-            1     w_e, the entity id width in bits (1..32)
-            1     w_r, the relation id width in bits (1..32)
+            1     w_p, the pair index width in bits (1..32)
+            1     w_k, the rank width in bits (0..32)
+            1     w_e, the entity id width in bits (1..32)    } only with
+            1     w_r, the relation id width in bits (1..32)  } escapes
 
-The body is one section for the full triples, then one section per run, in
-order.  A section holds fixed-width records packed 8 at a time: 8 records of
-w bits fill exactly w bytes, read as one little-endian integer whose lowest
-bits hold the first record.  A last group of k < 8 records takes
-ceil(k * w / 8) bytes, its unused high bits zero.  Within a record the fields
-run from the lowest bits up:
+The body is the known section, the escaped section, then one section per
+run, in order.  A section holds fixed-width records packed 8 at a time: 8
+records of w bits fill exactly w bytes, read as one little-endian integer
+whose lowest bits hold the first record.  A last group of k < 8 records
+takes ceil(k * w / 8) bytes, its unused high bits zero.  Within a record the
+fields run from the lowest bits up:
 
-    full triple       head, relation, tail         2*w_e + w_r bits
-    round-r record    head, tail, r - 1 condition  2*w_e + (r-1)*w_c bits
+    known triple      pair index, rank                w_p + w_k bits
+    escaped triple    head, relation, tail            2*w_e + w_r bits
+    round-r record    pair index, r - 1 condition     w_p + (r-1)*w_c bits
                       indices of w_c bits each
 
-w_e and w_r are the bit lengths of the message's largest entity and relation
-ids (at least 1), and w_c = (J - 1).bit_length() for a message of J triples:
-a condition indexes a triple reconstructed earlier, so it is below J - 1.
-The decoder rejects any other w_e or w_r, so a message has one encoding.
-`message_size` is the one statement of these sizes; `encode_message`'s output
-is always its total.  Any other version, version 1 included, is rejected.
+Each width is the bit length of the largest value of its field in the
+message; w_p, w_e and w_r are at least 1, so every record takes a bit.
+w_c = (J - 1).bit_length() for a message of J triples: a condition indexes
+a triple reconstructed earlier, so it is below J - 1.  The decoder rejects
+any other width, and escape widths in a message with no escaped triple, so
+a message has one encoding.  Decoding needs no graph: pair indices and
+ranks are resolved by `compressor.decompress`.  `message_size` is the one
+statement of these sizes; `encode_message`'s output is always its total.
+Any other version, versions 1 and 2 included, is rejected.
 """
 
 import hashlib
@@ -43,7 +54,7 @@ from .errors import MessageDecodeError, ValidationError
 from .kg import Triple
 
 WIRE_MAGIC = b"SCMP"
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 HASH_SIZE = 32
 DIGEST_OFFSET = 6 + HASH_SIZE
 DIGEST_SIZE = 16
@@ -53,15 +64,16 @@ _PREFIX = WIRE_MAGIC + WIRE_VERSION.to_bytes(2, "little")
 
 
 class OmissionRecord(NamedTuple):
-    """One omitted relation: where it goes and which prior triples imply it.
+    """One omitted relation: its pair and which prior triples imply it.
 
-    `conditions` are indices into the message's reconstruction order (full
-    triples first, then omissions in list order); each referenced triple is
-    reconstructable strictly before this record.  A round-r record conditions
-    on r - 1 triples, so the round is derived, never stored.
+    `pair` is the pair's index in the graph's `pair_table`.  `conditions`
+    are indices into the message's reconstruction order (known triples,
+    then escaped triples, then omissions in list order); each referenced
+    triple is reconstructable strictly before this record.  A round-r
+    record conditions on r - 1 triples, so the round is derived, never
+    stored.
     """
-    head: int
-    tail: int
+    pair: int
     conditions: Tuple[int, ...] = ()
 
     @property
@@ -71,39 +83,39 @@ class OmissionRecord(NamedTuple):
 
 @dataclass
 class CompressedMessage:
+    """A message in reconstruction order: `known` holds a (pair index, rank)
+    tuple per full triple the graph holds, `escaped` the full triples it
+    does not, and `omissions` the records the receiver re-derives."""
     graph_hash: bytes
-    full_triples: List[Triple]
+    known: List[Tuple[int, int]]
+    escaped: List[Triple]
     omissions: List[OmissionRecord]
 
     @property
     def total_triples(self) -> int:
-        return len(self.full_triples) + len(self.omissions)
+        return len(self.known) + len(self.escaped) + len(self.omissions)
 
 
 class WireSize(NamedTuple):
     """Where an encoded message's bytes go.
 
     `header` and `total` are bytes; the rest are bits.  `records` maps a
-    round to the bits of its records' heads and tails, and `conditions` is
-    the bits of every condition index, so header * 8 + full_triples +
+    round to the bits of its records' pair indices, and `conditions` is the
+    bits of every condition index, so header * 8 + known + escaped +
     sum(records.values()) + conditions + padding == total * 8.
     """
     header: int
-    full_triples: int
+    known: int
+    escaped: int
     records: Dict[int, int]
     conditions: int
     padding: int
     total: int
 
 
-def _full_width(w_e: int, w_r: int) -> int:
-    """Bits of a full triple: head, relation, tail."""
-    return 2 * w_e + w_r
-
-
-def _record_width(round_no: int, w_e: int, w_c: int) -> int:
-    """Bits of a round-r omission record: head, tail, r - 1 conditions."""
-    return 2 * w_e + (round_no - 1) * w_c
+def _record_width(round_no: int, w_p: int, w_c: int) -> int:
+    """Bits of a round-r omission record: pair index, r - 1 conditions."""
+    return w_p + (round_no - 1) * w_c
 
 
 def _section_bytes(n: int, width: int) -> int:
@@ -120,53 +132,76 @@ def _varint(n: int) -> bytes:
     return bytes(out)
 
 
-def _plan(msg: CompressedMessage):
-    """What the encoder writes for `msg` before any record: (the header after
-    the digest, w_e, w_r, w_c, [(round, record count) per run])."""
+class _Plan(NamedTuple):
+    """What the encoder writes for a message before any record."""
+    header: bytes  # the header after the digest
+    w_p: int
+    w_k: int
+    w_e: int  # 0 when there is no escaped triple, as w_r
+    w_r: int
+    w_c: int
+    runs: List[Tuple[int, int]]  # (round, record count) per run
+
+    @property
+    def known_width(self) -> int:
+        return self.w_p + self.w_k
+
+    @property
+    def escaped_width(self) -> int:
+        return 2 * self.w_e + self.w_r
+
+
+def _plan(msg: CompressedMessage) -> _Plan:
     if len(msg.graph_hash) != HASH_SIZE:
         raise ValidationError("graph hash must be %d bytes, got %d"
                               % (HASH_SIZE, len(msg.graph_hash)))
-    full, omissions = msg.full_triples, msg.omissions
-    heads, relations, tails = zip(*full) if full else ((), (), ())
-    rec_heads, rec_tails, conditions = (zip(*omissions) if omissions
-                                        else ((), (), ()))
-    # A negative id is caught when it is packed (see encode_message).
-    w_e = max(heads + tails + rec_heads + rec_tails, default=0).bit_length()
-    w_r = max(relations, default=0).bit_length()
-    if w_e > MAX_ID_BITS or w_r > MAX_ID_BITS:
-        raise ValidationError("ids must fit in %d bits" % MAX_ID_BITS)
+    known, escaped, omissions = msg.known, msg.escaped, msg.omissions
+    pairs, ranks = zip(*known) if known else ((), ())
+    rec_pairs, conditions = zip(*omissions) if omissions else ((), ())
+    # A negative field is caught when it is packed (see encode_message).
+    w_p = max(pairs + rec_pairs, default=0).bit_length() or 1
+    w_k = max(ranks, default=0).bit_length()
+    w_e = w_r = 0
+    if escaped:
+        heads, relations, tails = zip(*escaped)
+        w_e = max(heads + tails).bit_length() or 1
+        w_r = max(relations).bit_length() or 1
+    if max(w_p, w_k, w_e, w_r) > MAX_ID_BITS:
+        raise ValidationError("pair indices, ranks and ids must fit in %d "
+                              "bits" % MAX_ID_BITS)
     if any(conditions):
         runs = [(n + 1, len(list(group)))
                 for n, group in groupby(map(len, conditions))]
     else:  # round 1 only: the common case, and groupby's costliest
         runs = [(1, len(omissions))] if omissions else []
-    counts = [len(full), len(runs)]
+    counts = [len(known), len(escaped), len(runs)]
     for run in runs:
         counts += run
     header = (bytes(counts) if max(counts) < 0x80  # one byte per count
               else b"".join(map(_varint, counts)))
-    w_c = max(len(full) + len(omissions) - 1, 0).bit_length()
-    w_e, w_r = w_e or 1, w_r or 1
-    return header + bytes((w_e, w_r)), w_e, w_r, w_c, runs
+    widths = (w_p, w_k, w_e, w_r) if escaped else (w_p, w_k)
+    w_c = max(msg.total_triples - 1, 0).bit_length()
+    return _Plan(header + bytes(widths), w_p, w_k, w_e, w_r, w_c, runs)
 
 
 def message_size(msg: CompressedMessage) -> WireSize:
     """The encoded size of `msg`, field by field (see WireSize)."""
-    counts, w_e, w_r, w_c, runs = _plan(msg)
-    n_full = len(msg.full_triples)
-    width = _full_width(w_e, w_r)
-    full_bits = n_full * width
-    padding = 8 * _section_bytes(n_full, width) - full_bits
+    plan = _plan(msg)
+    known = len(msg.known) * plan.known_width
+    escaped = len(msg.escaped) * plan.escaped_width
+    padding = (8 * _section_bytes(len(msg.known), plan.known_width) - known
+               + 8 * _section_bytes(len(msg.escaped), plan.escaped_width)
+               - escaped)
     records: Dict[int, int] = {}
     conditions = 0
-    for round_no, n in runs:
-        width = _record_width(round_no, w_e, w_c)
-        records[round_no] = records.get(round_no, 0) + n * 2 * w_e
-        conditions += n * (width - 2 * w_e)
+    for round_no, n in plan.runs:
+        width = _record_width(round_no, plan.w_p, plan.w_c)
+        records[round_no] = records.get(round_no, 0) + n * plan.w_p
+        conditions += n * (width - plan.w_p)
         padding += 8 * _section_bytes(n, width) - n * width
-    header = FIXED_HEADER + len(counts)
-    bits = full_bits + sum(records.values()) + conditions + padding
-    return WireSize(header, full_bits, records, conditions, padding,
+    header = FIXED_HEADER + len(plan.header)
+    bits = known + escaped + sum(records.values()) + conditions + padding
+    return WireSize(header, known, escaped, records, conditions, padding,
                     header + bits // 8)
 
 
@@ -178,6 +213,8 @@ def _pack(values: List[int], width: int) -> bytes:
     zero records and cut to the section's size.
     """
     n = len(values)
+    if not n:  # also the escaped section's width 0 when it is empty
+        return b""
     if n & 7:
         values = values + [0] * (8 - (n & 7))
     _, _, w2, w3, w4, w5, w6, w7 = range(0, 8 * width, width)
@@ -217,36 +254,41 @@ def _unpack(data: bytes, pos: int, n: int, width: int):
 
 def encode_message(msg: CompressedMessage) -> bytes:
     """The message's bytes; raises ValidationError for a graph hash that is
-    not 32 bytes, a negative or wider-than-32-bit id, or a condition index
-    that is not below its record's reconstruction index."""
-    counts, w_e, w_r, w_c, runs = _plan(msg)
-    full = msg.full_triples
+    not 32 bytes, a negative or wider-than-32-bit pair index, rank or id, or
+    a condition index that is not below its record's reconstruction index."""
+    plan = _plan(msg)
+    w_p, w_e, w_r = plan.w_p, plan.w_e, plan.w_r
     rel_at, tail_at = w_e, w_e + w_r
     # A negative field makes its record and its group negative (`|` keeps
     # the sign), which `to_bytes` refuses with OverflowError.
     try:
-        sections = [counts, _pack([h | r << rel_at | t << tail_at
-                                   for h, r, t in full],
-                                  _full_width(w_e, w_r))]
-        start = len(full)  # reconstruction index of the run's first record
-        for round_no, n in runs:
-            run = msg.omissions[start - len(full):start - len(full) + n]
-            values = [h | t << w_e for h, t, _ in run]
+        sections = [plan.header,
+                    _pack([p | k << w_p for p, k in msg.known],
+                          plan.known_width),
+                    _pack([h | r << rel_at | t << tail_at
+                           for h, r, t in msg.escaped],
+                          plan.escaped_width)]
+        n_full = start = len(msg.known) + len(msg.escaped)
+        for round_no, n in plan.runs:
+            # `start` is the reconstruction index of the run's first record
+            run = msg.omissions[start - n_full:start - n_full + n]
+            values = [rec[0] for rec in run]
             if round_no > 1:
-                at = 2 * w_e
-                for column in zip(*[rec[2] for rec in run]):
+                at = w_p
+                for column in zip(*[rec[1] for rec in run]):
                     # A forward index would not fit its w_c bits.
                     if not all(map(lt, column, count(start))):
                         raise ValidationError(
                             "condition index beyond reconstructable prefix")
                     values = list(map(or_, values,
                                       map(lshift, column, repeat(at))))
-                    at += w_c
-            sections.append(_pack(values, _record_width(round_no, w_e, w_c)))
+                    at += plan.w_c
+            sections.append(_pack(values,
+                                  _record_width(round_no, w_p, plan.w_c)))
             start += n
     except OverflowError:
-        raise ValidationError("ids and condition indices must be "
-                              "non-negative") from None
+        raise ValidationError("pair indices, ranks, ids and condition "
+                              "indices must be non-negative") from None
     head = _PREFIX + msg.graph_hash
     rest = b"".join(sections)
     digest = hashlib.blake2b(head, digest_size=DIGEST_SIZE)
@@ -283,7 +325,7 @@ def _read_varints(data: bytes, pos: int, k: int) -> Tuple[List[int], int]:
 
 def decode_message(data: bytes) -> CompressedMessage:
     """The message `encode_message` wrote; raises MessageDecodeError for any
-    other bytes, a version-1 message included."""
+    other bytes, a message of version 1 or 2 included."""
     if len(data) < FIXED_HEADER:
         raise MessageDecodeError("buffer shorter than header")
     if data[:4] != WIRE_MAGIC:
@@ -298,25 +340,33 @@ def decode_message(data: bytes) -> CompressedMessage:
 
     # Every count is checked against the bytes that follow before anything
     # is allocated for it.
-    (n_full, n_runs), pos = _read_varints(data, FIXED_HEADER, 2)
+    (n_known, n_escaped, n_runs), pos = _read_varints(data, FIXED_HEADER, 3)
     if 2 * n_runs + 2 > len(data) - pos:  # runs take two bytes, widths two
         raise MessageDecodeError("truncated header")
     table, pos = _read_varints(data, pos, 2 * n_runs)
     runs = list(zip(table[0::2], table[1::2]))  # (round, count) per run
-    if pos + 2 > len(data):
+    n_widths = 4 if n_escaped else 2
+    if pos + n_widths > len(data):
         raise MessageDecodeError("truncated header")
-    w_e, w_r = data[pos], data[pos + 1]
-    pos += 2
-    if not (1 <= w_e <= MAX_ID_BITS and 1 <= w_r <= MAX_ID_BITS):
+    w_p, w_k = data[pos], data[pos + 1]
+    w_e, w_r = (data[pos + 2], data[pos + 3]) if n_escaped else (0, 0)
+    pos += n_widths
+    if not (1 <= w_p <= MAX_ID_BITS and w_k <= MAX_ID_BITS):
+        raise MessageDecodeError("pair or rank width outside its range")
+    if n_escaped and not (1 <= w_e <= MAX_ID_BITS
+                          and 1 <= w_r <= MAX_ID_BITS):
         raise MessageDecodeError("id width outside 1..%d bits" % MAX_ID_BITS)
+    n_full = n_known + n_escaped
     w_c = max(n_full + sum(table[1::2]) - 1, 0).bit_length()
-    size = _section_bytes(n_full, _full_width(w_e, w_r))
+    known_width, escaped_width = w_p + w_k, 2 * w_e + w_r
+    size = (_section_bytes(n_known, known_width)
+            + _section_bytes(n_escaped, escaped_width))
     previous = 0
     for round_no, n in runs:
         if not round_no or not n or round_no == previous:
             raise MessageDecodeError(
                 "runs must be non-empty and maximal, with rounds from 1")
-        size += _section_bytes(n, _record_width(round_no, w_e, w_c))
+        size += _section_bytes(n, _record_width(round_no, w_p, w_c))
         previous = round_no
     # A record conditions only on triples before it, so a later-round first
     # run needs a full triple ahead of it.  This also stops a one-triple
@@ -327,36 +377,45 @@ def decode_message(data: bytes) -> CompressedMessage:
         raise MessageDecodeError("body is %d bytes, header declares %d"
                                  % (len(data) - pos, size))
 
-    # Every record is at least 2 bits and every condition 1 bit, so what is
-    # built below is bounded by the body's size.
+    # Every record is at least 1 bit and every condition 1 bit, so what is
+    # built below is bounded by the body's size.  The OR of a field over
+    # all records has the bit length of its largest value, which fixes the
+    # width the encoder would have chosen.
     new = tuple.__new__  # skips the named tuples' Python-level __new__
-    values, seen, pos = _unpack(data, pos, n_full, _full_width(w_e, w_r))
-    e_mask, r_mask = (1 << w_e) - 1, (1 << w_r) - 1
-    rel_at, tail_at = w_e, w_e + w_r
-    # The OR of a field over all records has the bit length of its largest
-    # value, which fixes the width the encoder would have chosen.
-    entities = seen & e_mask | seen >> tail_at
-    relations = seen >> rel_at & r_mask
-    full = [new(Triple, (v & e_mask, v >> rel_at & r_mask, v >> tail_at))
-            for v in values]
+    values, seen, pos = _unpack(data, pos, n_known, known_width)
+    p_mask = (1 << w_p) - 1
+    pairs, ranks = seen & p_mask, seen >> w_p
+    known = [(v & p_mask, v >> w_p) for v in values]
+    escaped: List[Triple] = []
+    if n_escaped:
+        values, seen, pos = _unpack(data, pos, n_escaped, escaped_width)
+        e_mask, r_mask = (1 << w_e) - 1, (1 << w_r) - 1
+        rel_at, tail_at = w_e, w_e + w_r
+        if ((seen & e_mask | seen >> tail_at).bit_length() or 1) != w_e \
+                or ((seen >> rel_at & r_mask).bit_length() or 1) != w_r:
+            raise MessageDecodeError(
+                "id widths are not the smallest that fit")
+        escaped = [new(Triple, (v & e_mask, v >> rel_at & r_mask,
+                                v >> tail_at)) for v in values]
     omissions: List[OmissionRecord] = []
     start = n_full
     c_mask = repeat((1 << w_c) - 1)
     for round_no, n in runs:
-        width = _record_width(round_no, w_e, w_c)
-        values, seen, pos = _unpack(data, pos, n, width)
-        entities |= seen & e_mask | seen >> w_e & e_mask
+        values, seen, pos = _unpack(data, pos, n,
+                                    _record_width(round_no, w_p, w_c))
+        pairs |= seen & p_mask
         columns = [list(map(and_, map(rshift, values,
-                                      repeat(2 * w_e + k * w_c)), c_mask))
+                                      repeat(w_p + k * w_c)), c_mask))
                    for k in range(round_no - 1)]
         for column in columns:
             if not all(map(lt, column, count(start))):
                 raise MessageDecodeError("forward condition reference")
-        omissions += [new(OmissionRecord, (v & e_mask, v >> w_e & e_mask, c))
+        omissions += [new(OmissionRecord, (v & p_mask, c))
                       for v, c in zip(values, zip(*columns) if columns
                                       else repeat(()))]
         start += n
-    if ((entities.bit_length() or 1) != w_e
-            or (relations.bit_length() or 1) != w_r):
-        raise MessageDecodeError("id widths are not the smallest that fit")
-    return CompressedMessage(bytes(data[6:DIGEST_OFFSET]), full, omissions)
+    if (pairs.bit_length() or 1) != w_p or ranks.bit_length() != w_k:
+        raise MessageDecodeError(
+            "pair and rank widths are not the smallest that fit")
+    return CompressedMessage(bytes(data[6:DIGEST_OFFSET]), known, escaped,
+                             omissions)

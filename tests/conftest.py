@@ -1,12 +1,20 @@
-"""Shared builders and independent counting oracles."""
+"""Shared builders, independent counting oracles, and conversions between
+wire version 2 and version 3 messages."""
 
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
-from semcomp.kg import load_corpus_lines
+import legacy_wire_v2
+from semcomp import wire
+from semcomp.kg import Triple, load_corpus_lines
+
+# `pytest --hypothesis-profile=ci` prints, for a failing example, a blob that
+# replays it with @reproduce_failure.
+settings.register_profile("ci", print_blob=True)
 
 
 def corpus_from_samples(samples):
@@ -54,7 +62,6 @@ def _pair_relations(corpus, head, tail):
 
 
 def oracle_prob(corpus, triple):
-    from semcomp.kg import Triple
     num = len(_samples_with(corpus, triple))
     denom = sum(
         len(_samples_with(corpus, Triple(triple.head, r, triple.tail)))
@@ -67,7 +74,6 @@ def oracle_cond_prob(corpus, target, given):
 
     Returns None when the denominator is empty (undefined probability).
     """
-    from semcomp.kg import Triple
     if not given:
         return oracle_prob(corpus, target)
     cond = None
@@ -86,3 +92,56 @@ def oracle_cond_prob(corpus, target, given):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+# -- version 2 content <-> version 3 messages --------------------------------
+#
+# Pair indices count in ascending (head, tail) order, the `.spgr` body's
+# order; these helpers sort the graph's pairs themselves rather than read
+# `ProbabilityGraph.pair_table`.
+
+def v3_message(g, msg):
+    """The version-3 message that carries a version-2 message's content
+    against `g`.
+
+    A full triple whose pair and relation `g` holds becomes its (pair index,
+    rank) code, and the others stay escaped, each in its order.  A record's
+    pair becomes its index, or the index one past the table when `g` lacks
+    the pair.  A condition that names a full triple follows it to its new
+    place; every other condition index is kept.
+    """
+    pairs = sorted(g.quadruples)
+    index = {pair: i for i, pair in enumerate(pairs)}
+    known, escaped, known_at, escaped_at = [], [], [], []
+    for at, t in enumerate(msg.full_triples):
+        quad = g.quadruples.get((t.head, t.tail))
+        relations = [rid for rid, _ in quad.relations] if quad else []
+        if t.relation in relations:
+            known.append((index[t.head, t.tail],
+                          relations.index(t.relation)))
+            known_at.append(at)
+        else:
+            escaped.append(t)
+            escaped_at.append(at)
+    moved = {old: new for new, old in enumerate(known_at + escaped_at)}
+    records = [wire.OmissionRecord(index.get((r.head, r.tail), len(pairs)),
+                                   tuple(moved.get(c, c)
+                                         for c in r.conditions))
+               for r in msg.omissions]
+    return wire.CompressedMessage(msg.graph_hash, known, escaped, records)
+
+
+def v2_content(g, msg):
+    """The version-2 message a version-3 message carries against `g`: its
+    known triples resolved, then its escaped ones, then its records with
+    their pairs' heads and tails."""
+    pairs = sorted(g.quadruples)
+    full = []
+    for p, k in msg.known:
+        head, tail = pairs[p]
+        relation = g.quadruples[head, tail].relations[k][0]
+        full.append(Triple(head, relation, tail))
+    return legacy_wire_v2.CompressedMessage(
+        msg.graph_hash, full + list(msg.escaped),
+        [legacy_wire_v2.OmissionRecord(*pairs[r.pair], r.conditions)
+         for r in msg.omissions])

@@ -5,15 +5,18 @@ test_equivalence.py.
 The bodies are the replaced code unchanged, except that the deleted
 `Quadruple.union_support()` and `ProbabilityGraph.has_triple()` are the
 local `_union_support(quad)` and `_has_triple(g, triple)` below.
-Only the message and report dataclasses are shared with semcomp, so the
-oracle's output can be encoded with the same wire codec.
+Only the report dataclasses are shared with semcomp.  The message and
+record types are wire version 2's (legacy_wire_v2.py), which name triples by
+their ids; `conftest.v3_message` and `conftest.v2_content` convert between
+them and the messages `compress` and `decompress` take.
 """
 
 import itertools
 from typing import List, Optional
 
-from semcomp.compressor import (DEFAULT_MAX_ROUND, CompressedMessage,
-                                CompressionReport, OmissionRecord, StageStats)
+from legacy_wire_v2 import CompressedMessage, OmissionRecord
+from semcomp.compressor import (DEFAULT_MAX_ROUND, CompressionReport,
+                                StageStats)
 from semcomp.errors import (CorruptMessageError, IncompatibleKnowledgeError,
                             SemcompError, UndefinedProbabilityError,
                             ValidationError)

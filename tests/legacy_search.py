@@ -4,15 +4,18 @@ tuple on every cycle, kept as the oracle for test_search_equivalence.py.
 `_first_condition` and `compress` are the replaced code unchanged.  Each
 cycle rebuilds the condition list from every omission, and each search
 walks every tuple over it, so `combinations_evaluated` counts the tuples a
-previous cycle already rejected.  The message, report and record types are
-semcomp's, so the oracle's output encodes with the same wire codec.
+previous cycle already rejected.  The report types are semcomp's; the
+message and record types are wire version 2's (legacy_wire_v2.py), which
+name triples by their ids, and `conftest.v3_message` converts the oracle's
+output to the message `compress` returns.
 """
 
 from math import comb
 from typing import List, Optional, Tuple
 
-from semcomp.compressor import (DEFAULT_MAX_ROUND, CompressedMessage,
-                                CompressionReport, OmissionRecord, StageStats)
+from legacy_wire_v2 import CompressedMessage, OmissionRecord
+from semcomp.compressor import (DEFAULT_MAX_ROUND, CompressionReport,
+                                StageStats)
 from semcomp.errors import ValidationError
 from semcomp.kg import KnowledgeGraph, Triple
 from semcomp.probgraph import ProbabilityGraph

@@ -2,15 +2,16 @@
 the oracle for test_wire.py.
 
 The code is the replaced codec unchanged.  Only the message types are shared
-with semcomp, so both codecs read and write the same messages.
+with version 2 (legacy_wire_v2.py), so both codecs read and write the same
+messages.
 """
 
 import hashlib
 import struct
 
+from legacy_wire_v2 import CompressedMessage, OmissionRecord
 from semcomp.errors import MessageDecodeError
 from semcomp.kg import Triple
-from semcomp.wire import CompressedMessage, OmissionRecord
 
 WIRE_MAGIC = b"SCMP"
 WIRE_VERSION = 1

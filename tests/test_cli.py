@@ -25,7 +25,8 @@ from semcomp.kg import load_corpus
 from semcomp.probgraph import ProbabilityGraph, Quadruple, build
 
 import legacy_wire
-from conftest import random_corpus
+import legacy_wire_v2
+from conftest import random_corpus, v2_content
 from test_wire import _widened
 
 CORPUS_LINES = [
@@ -112,9 +113,21 @@ def test_report_wire_block_is_the_file(runner, workspace):
     doc = json.loads(report.read_text())
     block = doc["wire"]
     assert block["total"] == compressed.stat().st_size
-    assert (block["header"] + block["full_triples"]
+    assert (block["header"] + block["known"] + block["escaped"]
             + sum(block["records"].values()) + block["conditions"]
             + block["padding"]) == block["total"]
+    # x u y is omitted in round 1 and a r2 b, given it, in round 2.  Sent
+    # with no omission they are known triples: x u y at rank 0 of pair
+    # (x, y), a r2 b at rank 1 of pair (a, b).
+    g = ProbabilityGraph.load(graph)
+    ent = g.entities.id_of
+    assert [rec.round for rec in decode_message(compressed.read_bytes())
+            .omissions] == [1, 2]
+    plain = CompressedMessage(g.content_hash,
+                              [(g.pair_index[ent("x"), ent("y")], 0),
+                               (g.pair_index[ent("a"), ent("b")], 1)], [], [])
+    assert block["without_omission"] == len(encode_message(plain))
+    assert block["without_omission"] < block["total"]
     # the model's payload_bits: 3 * M - E fields of 24 bits, M = 2
     omitted = sum(stage["omitted"] for stage in doc["stages"])
     assert block["model"] == 24 * (3 * 2 - omitted) / 8
@@ -128,12 +141,15 @@ def test_decompress_rejects_v1_message(runner, workspace):
                          "--input", str(workspace / "message.jsonl"),
                          "--out", str(workspace / "msg.scmp")])
     msg = decode_message((workspace / "msg.scmp").read_bytes())
-    old.write_bytes(legacy_wire.encode_message(msg))
-    out = runner.invoke(main, ["decompress", "--graph", str(graph),
-                               "--input", str(old),
-                               "--out", str(workspace / "out.jsonl")])
-    assert out.exit_code == 2
-    assert "unsupported wire version 1" in out.output
+    content = v2_content(ProbabilityGraph.load(graph), msg)
+    for codec in (legacy_wire, legacy_wire_v2):
+        old.write_bytes(codec.encode_message(content))
+        out = runner.invoke(main, ["decompress", "--graph", str(graph),
+                                   "--input", str(old),
+                                   "--out", str(workspace / "out.jsonl")])
+        assert out.exit_code == 2
+        assert ("unsupported wire version %d" % codec.WIRE_VERSION
+                in out.output)
 
 
 def test_decompress_rejects_non_minimal_widths(runner, workspace,
@@ -145,12 +161,12 @@ def test_decompress_rejects_non_minimal_widths(runner, workspace,
                          "--input", str(workspace / "message.jsonl"),
                          "--out", str(workspace / "msg.scmp")])
     msg = decode_message((workspace / "msg.scmp").read_bytes())
-    wide.write_bytes(_widened(msg, monkeypatch, 1, 0))
+    wide.write_bytes(_widened(msg, monkeypatch, d_p=1))
     out = runner.invoke(main, ["decompress", "--graph", str(graph),
                                "--input", str(wide),
                                "--out", str(workspace / "out.jsonl")])
     assert out.exit_code == 2
-    assert "id widths are not the smallest that fit" in out.output
+    assert "pair and rank widths are not the smallest that fit" in out.output
 
 
 @pytest.mark.parametrize("records", [
@@ -164,13 +180,38 @@ def test_decompress_corrupt_records_exit_2(runner, workspace, records):
                          str(workspace / "corpus.jsonl"), "--out", str(graph)])
     g = ProbabilityGraph.load(graph)
     ent = g.entities.id_of
-    bad.write_bytes(encode_message(CompressedMessage(g.content_hash, [], [
-        OmissionRecord(ent(h), ent(t), conds) for h, t, conds in records])))
+    # a pair the graph lacks gets the index one past its table
+    bad.write_bytes(encode_message(CompressedMessage(g.content_hash, [], [], [
+        OmissionRecord(g.pair_index.get((ent(h), ent(t)), g.n_pairs), conds)
+        for h, t, conds in records])))
     out = runner.invoke(main, ["decompress", "--graph", str(graph),
                                "--input", str(bad),
                                "--out", str(workspace / "out.jsonl")])
     assert out.exit_code == 2
     assert out.output.startswith("error:")
+
+
+@pytest.mark.parametrize("known, why", [
+    ([(3, 0)], "pair index 3 beyond the graph's 3 pairs"),
+    ([(0, 0), (200, 1)], "pair index 200 beyond"),
+    ([(0, 2)], "rank 2 beyond the 2 relations of pair"),
+    ([(1, 1)], "rank 1 beyond the 1 relations of pair"),
+])
+def test_decompress_known_triple_beyond_the_graph_exit_2(runner, workspace,
+                                                          known, why):
+    # Pairs (a, b), (c, d), (x, y), in that order; (a, b) carries r1 and r2.
+    graph, bad = workspace / "graph.spgr", workspace / "bad.scmp"
+    runner.invoke(main, ["build-graph", "--corpus",
+                         str(workspace / "corpus.jsonl"), "--out", str(graph)])
+    g = ProbabilityGraph.load(graph)
+    assert [len(q.relations) for q in g.pair_table] == [2, 1, 1]
+    bad.write_bytes(encode_message(CompressedMessage(g.content_hash, known,
+                                                     [], [])))
+    out = runner.invoke(main, ["decompress", "--graph", str(graph),
+                               "--input", str(bad),
+                               "--out", str(workspace / "out.jsonl")])
+    assert out.exit_code == 2
+    assert out.output.startswith("error:") and why in out.output
 
 
 def test_estimate_q(runner, workspace):

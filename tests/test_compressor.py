@@ -12,7 +12,7 @@ from semcomp.kg import KnowledgeGraph, Triple
 from semcomp.probgraph import ProbabilityGraph, build
 from semcomp.resource import estimate_q
 
-from conftest import corpus_from_samples, random_corpus
+from conftest import corpus_from_samples, random_corpus, v2_content
 
 
 def ids(corpus, h, r, t):
@@ -52,7 +52,7 @@ class TestCompress:
         corpus = corpus_from_samples([[("a", "r", "b"), ("c", "s", "d")]])
         g = build(corpus)
         msg, report = compress(g, corpus.sample(1), max_round=1)
-        assert msg.full_triples == []
+        assert msg.known == msg.escaped == []
         assert len(msg.omissions) == 2
         assert all(r.round == 1 and r.conditions == () for r in msg.omissions)
         assert report.stages[0].omitted == 2
@@ -63,20 +63,20 @@ class TestCompress:
         stranger = KnowledgeGraph([Triple(1, 0, 0)])  # pair (b, a) not in g
         for max_round in (1, 2, 3):
             msg, _ = compress(g, stranger, max_round=max_round)
-            assert msg.full_triples == [Triple(1, 0, 0)]
-            assert msg.omissions == []
+            assert msg.escaped == [Triple(1, 0, 0)]
+            assert msg.known == msg.omissions == []
 
     def test_conditional_omission(self, toy):
         corpus, g = toy
         msg, _ = compress(g, corpus.sample(2), max_round=2)
-        assert msg.full_triples == []
-        by_pair = {(r.head, r.tail): r for r in msg.omissions}
-        cond_rec = by_pair[(ids(corpus, "a", "r2", "b").head,
-                            ids(corpus, "a", "r2", "b").tail)]
+        assert msg.known == msg.escaped == []
+        by_pair = {r.pair: r for r in msg.omissions}
+        t_ab = ids(corpus, "a", "r2", "b")
+        cond_rec = by_pair[g.pair_index[t_ab.head, t_ab.tail]]
         assert cond_rec.round == 2
         assert len(cond_rec.conditions) == 1
         # the single condition references the round-1 omission of (x, u, y)
-        assert cond_rec.conditions[0] == len(msg.full_triples)
+        assert cond_rec.conditions[0] == 0
 
     def test_round_1_builds_no_bitset(self, rng):
         # Round 1 reads verdicts only, and a later round reads bitsets only
@@ -95,7 +95,8 @@ class TestCompress:
         stranger = Triple(*reversed(ids(lone, "a", "r", "b")))
         msg, _ = compress(g, KnowledgeGraph(lone.sample(1).triples
                                             + [stranger]), max_round=3)
-        assert msg.full_triples == [stranger] and len(msg.omissions) == 2
+        assert msg.escaped == [stranger] and len(msg.omissions) == 2
+        assert msg.known == []
         assert not [q for q in g.quadruples.values() if "bits" in vars(q)]
 
     def test_receiver_builds_no_bitset_on_round_1(self, rng):
@@ -115,7 +116,10 @@ class TestCompress:
     def test_round_1_only_misses_conditional(self, toy):
         corpus, g = toy
         msg, _ = compress(g, corpus.sample(2), max_round=1)
-        assert ids(corpus, "a", "r2", "b") in msg.full_triples
+        t_ab = ids(corpus, "a", "r2", "b")
+        # r2 is the second relation on (a, b)
+        assert msg.known == [(g.pair_index[t_ab.head, t_ab.tail], 1)]
+        assert v2_content(g, msg).full_triples == [t_ab]
         assert len(msg.omissions) == 1
 
     def test_monotone_in_max_round(self, rng):
@@ -172,34 +176,61 @@ class TestDecompress:
         corpus, g = toy
         t_xy = ids(corpus, "x", "u", "y")
         t_ab = ids(corpus, "a", "r2", "b")
-        msg = CompressedMessage(g.content_hash, [], [
-            OmissionRecord(t_xy.head, t_xy.tail),
-            OmissionRecord(t_ab.head, t_ab.tail, conditions=(0,)),
+        msg = CompressedMessage(g.content_hash, [], [], [
+            OmissionRecord(g.pair_index[t_xy.head, t_xy.tail]),
+            OmissionRecord(g.pair_index[t_ab.head, t_ab.tail],
+                           conditions=(0,)),
         ])
         assert decompress(g, msg).triple_set() == {t_xy, t_ab}
 
     def test_ambiguous_argmax_rejected(self):
         corpus = corpus_from_samples([[("a", "r", "b")], [("a", "s", "b")]])
         g = build(corpus)
-        msg = CompressedMessage(g.content_hash, [],
-                                [OmissionRecord(0, 1)])
-        with pytest.raises(CorruptMessageError):
+        assert g.n_pairs == 1
+        msg = CompressedMessage(g.content_hash, [], [], [OmissionRecord(0)])
+        with pytest.raises(CorruptMessageError, match="ambiguous argmax"):
             decompress(g, msg)
 
     def test_round1_record_for_unknown_pair_rejected(self, toy):
+        # A pair index at or past the table's end, or below 0, names no pair.
         corpus, g = toy
-        a, y = corpus.entities.id_of("a"), corpus.entities.id_of("y")
-        for head, tail in ((a, y), (99, 100)):
-            msg = CompressedMessage(g.content_hash, [],
-                                    [OmissionRecord(head, tail)])
-            with pytest.raises(CorruptMessageError):
+        assert g.n_pairs == 2
+        for pair in (2, 3, 99, -1):
+            msg = CompressedMessage(g.content_hash, [], [],
+                                    [OmissionRecord(pair)])
+            with pytest.raises(CorruptMessageError, match="pair index"):
                 decompress(g, msg)
+
+    @pytest.mark.parametrize("code, why", [
+        ((2, 0), "pair index 2 beyond the graph's 2 pairs"),
+        ((7, 0), "pair index 7 beyond"),
+        ((-1, 0), "pair index -1 beyond"),
+        ((0, 2), "rank 2 beyond the 2 relations of pair"),
+        ((1, 1), "rank 1 beyond the 1 relations of pair"),
+        ((0, -1), "rank -1 beyond"),
+    ])
+    def test_known_triple_beyond_the_graph_rejected(self, toy, code, why):
+        # (a, b) carries r1 and r2, (x, y) only u.
+        corpus, g = toy
+        assert [len(q.relations) for q in g.pair_table] == [2, 1]
+        msg = CompressedMessage(g.content_hash, [code], [], [])
+        with pytest.raises(CorruptMessageError, match=why):
+            decompress(g, msg)
+
+    def test_known_triples_resolve_by_pair_and_rank(self, toy):
+        corpus, g = toy
+        msg = CompressedMessage(g.content_hash, [(0, 1), (1, 0), (0, 0)], [],
+                                [])
+        assert decompress(g, msg).triples == [
+            ids(corpus, "a", "r2", "b"), ids(corpus, "x", "u", "y"),
+            ids(corpus, "a", "r1", "b")]
 
     def test_forward_condition_rejected(self, toy):
         corpus, g = toy
         t_ab = ids(corpus, "a", "r2", "b")
-        msg = CompressedMessage(g.content_hash, [], [
-            OmissionRecord(t_ab.head, t_ab.tail, conditions=(0,)),
+        msg = CompressedMessage(g.content_hash, [], [], [
+            OmissionRecord(g.pair_index[t_ab.head, t_ab.tail],
+                           conditions=(0,)),
         ])
         with pytest.raises(CorruptMessageError):
             decompress(g, msg)
@@ -210,7 +241,7 @@ class TestDecompress:
             corpus = random_corpus(rng)
             g = build(corpus)
             for kg in corpus.samples:
-                msg, _ = compress(g, kg, max_round=2)
+                msg = v2_content(g, compress(g, kg, max_round=2)[0])
                 recon = list(msg.full_triples)
                 for rec in msg.omissions:
                     given = [recon[c] for c in rec.conditions]
@@ -233,8 +264,8 @@ def test_field_slot_accounting(rng):
     corpus = random_corpus(rng, n_samples=10)
     g = build(corpus)
     for kg in corpus.samples:
-        msg, _ = compress(g, kg, max_round=2)
-        j = msg.total_triples
+        msg = v2_content(g, compress(g, kg, max_round=2)[0])
+        j = len(msg.full_triples) + len(msg.omissions)
         e = len(msg.omissions)
         id_slots = 3 * len(msg.full_triples) + 2 * len(msg.omissions)
         assert id_slots == 3 * j - e

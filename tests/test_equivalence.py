@@ -1,6 +1,8 @@
 """Golden equivalence: the bitset compress (pruned round-r walk) and the
 `relation_counts`-based decompress against the set-based implementation with
-a plain combinations scan (legacy_compressor.py)."""
+a plain combinations scan (legacy_compressor.py).  The oracle's messages are
+wire version 2's, which name triples by their ids; `conftest.v3_message`
+and `conftest.v2_content` convert between them and `compress`'s."""
 
 import random
 
@@ -9,15 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legacy_compressor as legacy
+from legacy_wire_v2 import CompressedMessage, OmissionRecord
 from semcomp import compressor
-from semcomp.compressor import (CompressedMessage, OmissionRecord, compress,
-                                decompress, encode_message)
+from semcomp.compressor import compress, decompress, encode_message
 from semcomp.errors import CorruptMessageError, SemcompError
 from semcomp.kg import KnowledgeGraph, Triple
 from semcomp.probgraph import build
 
 from conftest import (_pair_relations, _samples_with, corpus_from_samples,
-                      random_corpus)
+                      random_corpus, v2_content, v3_message)
 
 
 def tie_heavy_corpus(rng, k=6, n_samples=30):
@@ -89,13 +91,17 @@ def cases():
 
 
 def assert_matches_reference(g, message, max_round):
+    """compress's message carries the reference's content against `g`, with
+    its full triples ordered known-first, and both decompress to the same
+    triples in the same order."""
     msg, report = compress(g, message, max_round=max_round)
     ref_msg, ref_report = legacy.compress(g, message, max_round=max_round)
-    assert encode_message(msg) == encode_message(ref_msg)
+    assert msg == v3_message(g, ref_msg)
+    assert encode_message(msg) == encode_message(v3_message(g, ref_msg))
     assert report.stages == ref_report.stages
     assert report.comparison_count == ref_report.comparison_count
     assert (decompress(g, msg).triples
-            == legacy.decompress(g, ref_msg).triples)
+            == legacy.decompress(g, v2_content(g, msg)).triples)
     return msg, report
 
 
@@ -140,11 +146,16 @@ def test_round_1_outcomes_interleaved_match_reference():
         message = _labelled(corpus, *order)
         kept = [t for t, label in zip(message.triples, order)
                 if outcomes[label] != "hit"]
+        escaped = [t for t, label in zip(message.triples, order)
+                   if outcomes[label].startswith("unknown")]
         for max_round in (1, 2, 3, 4):
             msg, report = assert_matches_reference(g, message, max_round)
             assert report.stages[0].omitted == 3
-            assert msg.full_triples == (
-                kept if max_round == 1 else [t for t in kept if t != r2b])
+            # known triples first, then the escaped ones, each in input order
+            assert v2_content(g, msg).full_triples == [
+                t for t in kept if t not in escaped
+                and (max_round == 1 or t != r2b)] + escaped
+            assert msg.escaped == escaped
 
 
 def test_pruned_subtree_before_first_hit():
@@ -197,7 +208,7 @@ def test_second_cycle_walks_only_new_conditions():
                         ("x", "k", "y"), ("p", "m", "q"))
     msg, report = assert_matches_reference(g, message, max_round=2)
     # reconstruction order C, D, B, A: no full triple is left
-    assert msg.full_triples == []
+    assert msg.known == msg.escaped == []
     assert [rec.conditions for rec in msg.omissions] == [(), (), (0,), (2,)]
     assert [(s.cycle, s.candidates, s.omitted) for s in report.stages] == [
         (0, 4, 2), (1, 2, 1), (2, 1, 1), (3, 0, 0)]
@@ -222,7 +233,7 @@ def test_dominated_target_evaluates_nothing():
                         ("c1", "k", "d1"), ("c2", "k", "d2"))
     for max_round in (2, 3, 4):
         msg, report = assert_matches_reference(g, message, max_round)
-        assert len(msg.full_triples) == 1
+        assert len(msg.known) == 1 and not msg.escaped
         assert report.combinations_evaluated == 0
         round1 = compress(g, message, max_round=1)[1].comparison_count
         # 3 omitted conditions: C(3, 1) + C(3, 2) + C(3, 3) tuples, 2 each
@@ -255,7 +266,7 @@ def test_all_dominated_leftovers_are_charged_unsearched(monkeypatch):
     monkeypatch.setattr(compressor, "_first_condition", never)
     for max_round in (1, 2, 3, 4):
         msg, report = assert_matches_reference(g, message, max_round)
-        assert len(msg.full_triples) == 3
+        assert len(msg.known) == 3 and not msg.escaped
         # one zero-omission stage per later round
         assert [(s.round, s.cycle, s.candidates, s.omitted)
                 for s in report.stages] == [(1, 0, 7, 4)] + [
@@ -288,11 +299,22 @@ def test_evaluated_combinations_bounded_by_model_count():
 
 
 def _outcome(fn, g, msg):
-    """The reconstructed triple list, or the class of the error raised."""
+    """The reconstructed triples, sorted, or the class of the error raised.
+
+    A version-3 message sends known triples ahead of escaped ones, so its
+    replay may order the full triples differently from the reference's.
+    """
     try:
-        return fn(g, msg).triples
+        return sorted(fn(g, msg).triples)
     except SemcompError as exc:
         return type(exc)
+
+
+def _outcomes(g, old_msg):
+    """decompress's outcome on the version-3 form of a version-2 message,
+    and the reference's on the message itself."""
+    return (_outcome(decompress, g, v3_message(g, old_msg)),
+            _outcome(legacy.decompress, g, old_msg))
 
 
 def test_corrupt_records_raise_like_reference():
@@ -329,9 +351,9 @@ def test_corrupt_records_raise_like_reference():
         (OmissionRecord(a, b), None),                       # valid
     ]
     for record, expected in records:
-        msg = CompressedMessage(g.content_hash, full, [record])
-        got = _outcome(decompress, g, msg)
-        assert got == _outcome(legacy.decompress, g, msg), record
+        got, want = _outcomes(g, CompressedMessage(g.content_hash, full,
+                                                   [record]))
+        assert got == want, record
         assert (got is corrupt) == (expected is corrupt), record
 
 
@@ -356,14 +378,14 @@ def test_replay_matches_reference_on_hand_built_records(seed, data):
     if data.draw(st.booleans(), label="from compress"):
         sample = data.draw(st.sampled_from(corpus.samples))
         sent, _ = compress(g, sample, max_round=data.draw(st.integers(1, 3)))
+        sent = v2_content(g, sent)
         full, records = sent.full_triples, sent.omissions
     else:
         full, records = [], []
     full = full + data.draw(st.lists(triple, max_size=3))
     records = records + data.draw(st.lists(record, max_size=4))
-    msg = CompressedMessage(g.content_hash, full, records)
-    assert (_outcome(decompress, g, msg)
-            == _outcome(legacy.decompress, g, msg))
+    got, want = _outcomes(g, CompressedMessage(g.content_hash, full, records))
+    assert got == want
 
 
 def test_relation_counts_match_counting_oracle(rng):

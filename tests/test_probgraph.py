@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -363,9 +364,61 @@ class TestSerialization:
         with pytest.raises(GraphDecodeError, match=message):
             ProbabilityGraph.from_bytes(_spgr(entities, relations, pairs))
 
+    def test_loaded_sample_ids_share_one_int_each(self):
+        # Ids past 256 are not CPython's cached small ints, so sharing comes
+        # from the loader: one int object per distinct sample id, as in a
+        # built graph.
+        rng = random.Random(11)
+        corpus = corpus_from_samples([
+            sorted({("e%d" % rng.randrange(6), "r%d" % rng.randrange(3),
+                     "e%d" % rng.randrange(6)) for _ in range(4)})
+            for _ in range(600)])
+        loaded = ProbabilityGraph.from_bytes(build(corpus).to_bytes())
+        ids = [sid for quad in loaded.quadruples.values()
+               for _, samples in quad.relations for sid in samples]
+        assert max(ids) > 256 and len(ids) > len(set(ids))
+        assert len({id(sid) for sid in ids}) == len(set(ids))
+
+    def test_sample_ids_past_the_shared_table_load_as_read(self):
+        # N far above the ids the file can hold: the shared-id table is cut
+        # at the file's size, and an id past it still loads and re-saves.
+        n = 2**32 - 1
+        data = _spgr(["a", "b"], ["r"], [(0, 1, [(0, (3, 10**6, n))])],
+                     n_samples=n)
+        tracemalloc.start()
+        try:
+            g = ProbabilityGraph.from_bytes(data)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert g.pair(0, 1).support(0) == (3, 10**6, n)
+        assert g.to_bytes() == data
+
     def test_file_roundtrip(self, tmp_path, rng):
         corpus = random_corpus(rng, n_samples=4)
         g = build(corpus)
         path = tmp_path / "graph.spgr"
         g.save(path)
         assert ProbabilityGraph.load(path).content_hash == g.content_hash
+
+
+class TestPairTable:
+    def test_pairs_in_file_order_on_both_ends(self, rng):
+        corpus = random_corpus(rng, n_samples=10)
+        g = build(corpus)
+        loaded = ProbabilityGraph.from_bytes(g.to_bytes())
+        for graph in (g, loaded):
+            assert ([(q.head, q.tail) for q in graph.pair_table]
+                    == sorted(graph.quadruples))
+            assert all(graph.pair_table[i] is graph.quadruples[pair]
+                       for pair, i in graph.pair_index.items())
+            assert sorted(graph.pair_index.values()) == list(
+                range(graph.n_pairs))
+
+    def test_triples_are_in_rank_order(self):
+        corpus = corpus_from_samples([[("a", "s", "b")], [("a", "r", "b")]])
+        quad = build(corpus).pair(0, 1)
+        assert [t.relation for t in quad.triples] == [
+            rid for rid, _ in quad.relations] == [0, 1]
+        assert all((t.head, t.tail) == (0, 1) for t in quad.triples)

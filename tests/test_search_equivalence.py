@@ -1,8 +1,9 @@
 """Golden equivalence: the semi-naive round-r search against the cycle loop
 it replaced (legacy_search.py), which re-walked every condition tuple on
 every cycle and searched every candidate, root-dominated ones included.
-Messages, stages and the priced `comparison_count` must be equal; only
-`combinations_evaluated` may fall."""
+Messages (the oracle's, a wire version 2 message, converted by
+`conftest.v3_message`), stages and the priced `comparison_count` must be
+equal; only `combinations_evaluated` may fall."""
 
 import math
 import random
@@ -15,7 +16,8 @@ from semcomp.compressor import compress, encode_message
 from semcomp.kg import KnowledgeGraph, Triple
 from semcomp.probgraph import build
 
-from conftest import _pair_relations, _samples_with, corpus_from_samples
+from conftest import (_pair_relations, _samples_with, corpus_from_samples,
+                      v3_message)
 from test_equivalence import cases
 
 
@@ -119,7 +121,9 @@ def test_semi_naive_search_matches_reference(max_round):
         for message in messages:
             msg, report = compress(g, message, max_round)
             ref_msg, ref = legacy_search.compress(g, message, max_round)
-            assert encode_message(msg) == encode_message(ref_msg)
+            assert msg == v3_message(g, ref_msg)
+            assert encode_message(msg) == encode_message(
+                v3_message(g, ref_msg))
             assert report.stages == ref.stages
             assert report.comparison_count == ref.comparison_count
             assert report.combinations_evaluated <= ref.combinations_evaluated
@@ -141,8 +145,9 @@ def test_root_dominated_candidates_are_never_searched(max_round,
     search, legacy = compressor._first_condition, legacy_search._first_condition
 
     def counted(state, *args):
-        calls["dominated" if _dominated_at_root(corpus, state[0])
-              else "live"] += 1
+        pair, rank = state[0]  # the candidate's code
+        t = g.pair_table[pair].triples[rank]
+        calls["dominated" if _dominated_at_root(corpus, t) else "live"] += 1
         return search(state, *args)
 
     def legacy_counted(g, t, *args):
@@ -159,7 +164,7 @@ def test_root_dominated_candidates_are_never_searched(max_round,
         for message in messages:
             msg, report = compress(g, message, max_round)
             ref_msg, ref = legacy_search.compress(g, message, max_round)
-            assert encode_message(msg) == encode_message(ref_msg)
+            assert msg == v3_message(g, ref_msg)
             assert report.stages == ref.stages
             assert report.comparison_count == ref.comparison_count
             assert report.combinations_evaluated <= ref.combinations_evaluated
