@@ -63,27 +63,6 @@ def build_graph(corpus_path, out_path):
           % (graph.n_pairs, graph.n_samples, graph.content_hash.hex()[:16]))
 
 
-def _in_graph_ids(graph, corpus):
-    """The corpus's samples in the graph's id space.  A label the graph lacks
-    gets an id past the end of the graph's table, so no quadruple holds it."""
-    if (corpus.entities == graph.entities
-            and corpus.relations == graph.relations):
-        return corpus.samples
-    ent = _id_map(corpus.entities, graph.entities)
-    rel = _id_map(corpus.relations, graph.relations)
-    return [kg.KnowledgeGraph([kg.Triple(ent[h], rel[r], ent[t])
-                               for h, r, t in sample.triples],
-                              sample_id=sample.sample_id)
-            for sample in corpus.samples]
-
-
-def _id_map(table, graph_table):
-    """Corpus id -> graph id; the labels `graph_table` lacks are numbered on
-    past its end, in first-seen order."""
-    joint = kg.Interner(graph_table.labels() + table.labels())
-    return [joint.id_of(label) for label in table.labels()]
-
-
 @main.command("compress")
 @click.option("--graph", "graph_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
@@ -100,18 +79,17 @@ def _id_map(table, graph_table):
 def compress_cmd(graph_path, input_path, max_round, out_path, report_path):
     """Compress one knowledge-graph file against a shared graph."""
     graph = probgraph.ProbabilityGraph.load(graph_path)
-    corpus = kg.load_corpus(input_path)
+    corpus = kg.load_corpus(input_path, graph)
     if corpus.n_samples != 1:
         raise ValidationError("input must contain exactly one sample, found %d"
                               % corpus.n_samples)
-    message_kg = _in_graph_ids(graph, corpus)[0]
-    for (h, r, t), mine in zip(message_kg.triples, corpus.samples[0].triples):
+    message_kg = corpus.samples[0]
+    for h, r, t in message_kg.triples:
         if max(h, t) >= len(graph.entities) or r >= len(graph.relations):
             raise ValidationError(
                 "input uses labels absent from the shared graph (%s, %s, %s)"
-                % (corpus.entities.label(mine.head),
-                   corpus.relations.label(mine.relation),
-                   corpus.entities.label(mine.tail)))
+                % (corpus.entities.label(h), corpus.relations.label(r),
+                   corpus.entities.label(t)))
     msg, report = compressor.compress(graph, message_kg, max_round=max_round)
     with open(out_path, "wb") as fh:
         fh.write(wire.encode_message(msg))
@@ -177,8 +155,7 @@ def decompress_cmd(graph_path, input_path, out_path):
         msg = wire.decode_message(fh.read())
     result = compressor.decompress(graph, msg)
     corpus = kg.Corpus(samples=[kg.KnowledgeGraph(result.triples, sample_id=1)],
-                       entities=kg.Interner(graph.entities.labels()),
-                       relations=kg.Interner(graph.relations.labels()))
+                       entities=graph.entities, relations=graph.relations)
     kg.dump_corpus(corpus, out_path)
     _echo("reconstructed %d triples" % len(result))
 
@@ -194,8 +171,8 @@ def decompress_cmd(graph_path, input_path, out_path):
 def estimate_q_cmd(graph_path, corpus_path, max_round):
     """Measure per-stage omission ratios over a corpus."""
     graph = probgraph.ProbabilityGraph.load(graph_path)
-    corpus = kg.Corpus(_in_graph_ids(graph, kg.load_corpus(corpus_path)))
-    profile = resource.estimate_q(graph, corpus, max_round=max_round)
+    profile = resource.estimate_q(graph, kg.load_corpus(corpus_path, graph),
+                                  max_round=max_round)
     _echo(json.dumps({
         "m_total": profile.m_total,
         "q": profile.q,

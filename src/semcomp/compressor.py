@@ -101,10 +101,6 @@ def _first_condition(search: tuple, cond: List[int], width: int, old: int,
     _, mine, others, union, relations = search
     evaluated = 0
 
-    def dominated(prefix):
-        hits = mine & prefix
-        return not hits or any(hits & b == hits for b in others)
-
     def walk(start, depth, prefix):
         nonlocal evaluated
         rest = width - depth - 1  # indices still to choose after this one
@@ -129,7 +125,7 @@ def _first_condition(search: tuple, cond: List[int], width: int, old: int,
             return None
         for i in range(start, n - rest):
             event = prefix & cond[i]
-            if dominated(event):
+            if _dominated(mine, others, event):
                 continue
             found = walk(i + 1, depth + 1, event)
             if found is not None:
@@ -140,6 +136,14 @@ def _first_condition(search: tuple, cond: List[int], width: int, old: int,
     report.comparison_count += _plain_scan_length(n, width, found) * relations
     report.combinations_evaluated += evaluated
     return found
+
+
+def _dominated(mine: int, others: List[int], event: int) -> bool:
+    """Whether the target's support within `event` is empty or a subset of
+    another relation's: then no event inside `event` makes the target the
+    unique argmax on its pair."""
+    hits = mine & event
+    return not hits or any(hits & b == hits for b in others)
 
 
 def _plain_scan_length(n, width, found):
@@ -172,7 +176,8 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
     # A triple whose pair (or relation) is absent from the graph can never
     # be reconstructed, so it is a permanent full triple, sent escaped.
     # Every other triple round 1 leaves is a candidate, kept as its (pair
-    # index, rank) code in input order; later rounds only take codes out.
+    # index, rank) code in input order, the rank being its index in the
+    # pair's `Quadruple.triples`; later rounds only take codes out.
     escaped: List[Triple] = []
     codes: List[Tuple[int, int]] = []
     round1_pairs: List[int] = []  # pair indices of the round-1 omissions
@@ -186,17 +191,13 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
         quad = table[i]
         if quad.verdict == relation:
             round1_pairs.append(i)
-            comparisons += len(quad.relations)
-            continue
-        rank = 0
-        for rid, _ in quad.relations:
-            if rid == relation:
-                codes.append((i, rank))
-                comparisons += len(quad.relations)
-                break
-            rank += 1
         else:
-            escaped.append(t)
+            try:
+                codes.append((i, quad.triples.index(t)))
+            except ValueError:  # the pair lacks the relation
+                escaped.append(t)
+                continue
+        comparisons += len(quad.relations)
     report.comparison_count = comparisons
     round1 = len(round1_pairs)
     report.stages.append(StageStats(1, 0, len(triples), round1))
@@ -222,7 +223,7 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
             bitsets, union = quad.bits
             mine = bitsets[rid]
             others = [b for r, b in bitsets.items() if r != rid]
-            if any(mine & b == mine for b in others):
+            if _dominated(mine, others, union):
                 dead_relations += len(bitsets)
             else:
                 live.append((code, mine, others, union, len(bitsets)))

@@ -2,7 +2,9 @@
 
 Entities and relations are interned into dense non-negative integer ids in
 first-seen order, so loading the same file twice always produces the same
-ids.
+ids.  A loader given label tables, such as a shared graph's, interns into
+copies of them: their labels keep their ids and new labels are numbered on
+past their end.
 """
 
 import json
@@ -172,8 +174,10 @@ def _parse_tsv_line(line, lineno, triple_ids):
                                              len(triple_ids))]
 
 
-def load_corpus_lines(lines) -> Corpus:
-    """Build a Corpus from JSONL or TSV lines (format sniffed per file)."""
+def load_corpus_lines(lines, tables=None) -> Corpus:
+    """Build a Corpus from JSONL or TSV lines (format sniffed per file),
+    interning into copies of the `entities` and `relations` Interners of
+    `tables` (a graph, say) when it is given."""
     # Each distinct label triple, as written, gets one provisional id on
     # first sight, so the file is held as one int per triple occurrence and
     # the labels of a repeated triple are neither checked nor kept again.
@@ -207,7 +211,9 @@ def load_corpus_lines(lines) -> Corpus:
         first = next(i for i in range(1, n + 2) if i not in raw)
         raise ValidationError("gap in sample ids: %d missing" % first)
 
-    corpus = Corpus()
+    corpus = Corpus() if tables is None else Corpus(
+        entities=Interner(tables.entities.labels()),
+        relations=Interner(tables.relations.labels()))
     entity_of = _InternMemo(corpus.entities)
     relation_of = _InternMemo(corpus.relations)
     labels = list(triple_ids)  # provisional id -> label triple
@@ -227,10 +233,10 @@ def load_corpus_lines(lines) -> Corpus:
     return corpus
 
 
-def load_corpus(path) -> Corpus:
+def load_corpus(path, tables=None) -> Corpus:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return load_corpus_lines(fh)
+            return load_corpus_lines(fh, tables)
         except UnicodeDecodeError as exc:
             raise ParseError("%s is not UTF-8 text: %s" % (path, exc)) from exc
 

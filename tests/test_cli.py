@@ -262,6 +262,21 @@ def test_estimate_q_reads_labels_not_ids(runner, tmp_path):
     assert "labels absent from the shared graph (x, y, z)" in out.output
 
 
+def test_compress_names_a_new_relation(runner, workspace):
+    """A message whose entities are the graph's but whose relation is not
+    exits 2 naming the triple by its labels."""
+    graph = workspace / "graph.spgr"
+    runner.invoke(main, ["build-graph", "--corpus",
+                         str(workspace / "corpus.jsonl"), "--out", str(graph)])
+    message = _write_corpus(workspace / "new-relation.jsonl",
+                            [[["c", "s", "d"], ["a", "unheard", "b"]]])
+    out = runner.invoke(main, ["compress", "--graph", str(graph),
+                               "--input", str(message),
+                               "--out", str(workspace / "msg.scmp")])
+    assert out.exit_code == 2
+    assert "labels absent from the shared graph (a, unheard, b)" in out.output
+
+
 def test_estimate_q_ignores_first_seen_order(runner, workspace):
     corpus = workspace / "corpus.jsonl"
     graph = workspace / "graph.spgr"

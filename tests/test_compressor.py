@@ -121,6 +121,22 @@ class TestCompress:
         assert msg.known == [(g.pair_index[t_ab.head, t_ab.tail], 1)]
         assert v2_content(g, msg).full_triples == [t_ab]
         assert len(msg.omissions) == 1
+        # A rank is the triple's index in its pair's relation order.  Here
+        # a verdict, a rank-2 triple, a relation its pair lacks and a pair
+        # the graph lacks are interleaved.
+        corpus = corpus_from_samples([
+            [("a", "r1", "b"), ("c", "s", "d")], [("a", "r1", "b")],
+            [("a", "r2", "b")], [("a", "r3", "b")]])
+        g = build(corpus)
+        message = [ids(corpus, *t) for t in [
+            ("c", "s", "d"), ("a", "r3", "b"), ("a", "s", "b"),
+            ("d", "s", "c")]]
+        msg, report = compress(g, KnowledgeGraph(message), max_round=1)
+        assert msg.known == [(g.pair_index[message[1].head,
+                                           message[1].tail], 2)]
+        assert msg.escaped == message[2:]
+        assert report.comparison_count == 1 + 3  # (c, d)'s and (a, b)'s
+        assert decompress(g, msg).triple_set() == set(message)
 
     def test_monotone_in_max_round(self, rng):
         for _ in range(25):

@@ -9,6 +9,7 @@ import legacy_loader
 from semcomp.errors import ParseError, SemcompError, ValidationError
 from semcomp.kg import (Interner, KnowledgeGraph, Triple, dump_corpus_lines,
                         load_corpus_lines)
+from semcomp.probgraph import ProbabilityGraph, build
 
 
 def jsonl(*objs):
@@ -285,3 +286,54 @@ def test_loader_mutated_corpora_match_reference():
         rng.shuffle(lines)
         assert (_outcome(load_corpus_lines, lines)
                 == _outcome(legacy_loader.load_corpus_lines, lines))
+
+
+# -- loading into a graph's ids ----------------------------------------------
+
+def _id_map(table, graph_table):
+    """Corpus id -> graph id; the labels `graph_table` lacks are numbered on
+    past its end, in first-seen order.  The renumbering rule a corpus loaded
+    with its own tables needed to reach the graph's ids."""
+    joint = Interner(graph_table.labels() + table.labels())
+    return [joint.id_of(label) for label in table.labels()]
+
+
+_INTO_GRAPH = [  # the graph's labels in another first-seen order, and new ones
+    [("d", "t", "a"), ("new1", "s", "c"), (" b ", "r", "a")],
+    [("c", "q", "new2"), ("new1", "r", "d"), ("a", "p", "b")],
+    [("new2", "t", "new1")],
+]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+def test_loading_into_a_graphs_tables(fmt):
+    graph = build(load_corpus_lines(jsonl(
+        {"sample": 1, "triples": [["a", "r", "b"], ["c", "s", "d"]]},
+        {"sample": 2, "triples": [["b", "s", "c"], ["a", "t", "d"]]})))
+    entities, relations = graph.entities.labels(), graph.relations.labels()
+    blob, digest = graph.to_bytes(), graph.content_hash
+    # The last sample's lines come first: ids follow sample order.
+    lines = []
+    for i, ts in reversed(list(enumerate(_INTO_GRAPH, start=1))):
+        if fmt == "jsonl":
+            lines.append(json.dumps({"sample": i,
+                                     "triples": [list(t) for t in ts]}))
+        else:
+            lines += ["%d\t%s\t%s\t%s" % ((i,) + t) for t in ts]
+
+    own = load_corpus_lines(lines)
+    ent = _id_map(own.entities, graph.entities)
+    rel = _id_map(own.relations, graph.relations)
+    assert ent != list(range(len(ent))) and rel != list(range(len(rel)))
+    want = [[Triple(ent[h], rel[r], ent[t]) for h, r, t in kg.triples]
+            for kg in own.samples]
+
+    corpus = load_corpus_lines(lines, graph)
+    assert [kg.triples for kg in corpus.samples] == want
+    assert corpus.entities.labels() == entities + ["new1", "new2"]
+    assert corpus.relations.labels() == relations + ["q", "p"]
+    # The graph's own tables are copied, not grown.
+    assert graph.entities.labels() == entities
+    assert graph.relations.labels() == relations
+    assert graph.to_bytes() == blob
+    assert ProbabilityGraph.from_bytes(blob).content_hash == digest
