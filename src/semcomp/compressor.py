@@ -13,6 +13,15 @@ starts: a candidate whose support on its pair is empty or a subset of
 another relation's can never be the argmax, so it leaves the search, and
 each later cycle charges all such candidates together the plain scan's miss,
 comb(n, width) tuples per relation on their pairs.
+
+Which later rounds run is the `omit` mode's.  "all" is the paper's rule:
+every round up to `max_round`.  "wire", the default, runs round r only
+while a round-r record, w_p + (r-1)*w_c bits, can be smaller than the known
+triple it replaces, w_p + w_k bits; under wire v3 that is rare, since w_c
+grows with the message and w_k is a rank's width.  Either way the rounds
+end where fewer triples are omitted than a round's width, so the work is
+bounded by the message, not by `max_round`.
+
 A message names each triple by its place in the shared graph: a full
 triple the graph holds is its pair's index in `ProbabilityGraph.pair_table`
 and its relation's rank on the pair, and an omission record is its pair's
@@ -36,9 +45,12 @@ from .probgraph import ProbabilityGraph, unique_max_relation
 # The codec is `wire`'s, re-exported for callers that reach it through this
 # module, benchmarks/harness.py among them.
 from .wire import (CompressedMessage, OmissionRecord,  # noqa: F401
-                   decode_message, encode_message)
+                   decode_message, encode_message, message_size, rank_width,
+                   record_width)
 
 DEFAULT_MAX_ROUND = 2
+OMIT_MODES = ("wire", "all")
+DEFAULT_OMIT = "wire"
 
 
 @dataclass
@@ -51,6 +63,24 @@ class StageStats:
 
 
 @dataclass
+class RoundStop:
+    """The first round up to `max_round` that `compress` did not run, and
+    why.
+
+    `reason` is "wire" when a round-`round` record's `condition_bits`,
+    (round - 1) * w_c, are no fewer than `rank_bits`, the w_k of round 1's
+    leftover codes, so no record of the round could be smaller than the
+    known triple it replaces.  It is "no condition tuple" when fewer
+    triples are omitted than the round's width, round - 1: no tuple exists,
+    so the round would omit nothing and charge nothing.
+    """
+    round: int
+    reason: str
+    condition_bits: Optional[int] = None
+    rank_bits: Optional[int] = None
+
+
+@dataclass
 class CompressionReport:
     """Per-stage outcomes and two work counters.
 
@@ -60,11 +90,13 @@ class CompressionReport:
     examine, up to and including the first hit, undefined tuples included.
     `combinations_evaluated` is the number of condition tuples whose counts
     the pruned search actually computed; it never exceeds the tuples that
-    `comparison_count` charges for.
+    `comparison_count` charges for.  `stopped` is None when every round up
+    to `max_round` ran.
     """
     stages: List[StageStats] = field(default_factory=list)
     comparison_count: int = 0
     combinations_evaluated: int = 0
+    stopped: Optional[RoundStop] = None
 
     def observed_ratios(self) -> List[float]:
         """Per-stage omitted/candidates ratios (zero-candidate stages skipped)."""
@@ -95,9 +127,7 @@ def _first_condition(search: tuple, cond: List[int], width: int, old: int,
     The charge, `_plain_scan_length` of the hit per relation, ignores what
     the walk skips.
     """
-    n = len(cond)
-    if n < width:
-        return None
+    n = len(cond)  # >= width: `compress` runs a round only then
     _, mine, others, union, relations = search
     evaluated = 0
 
@@ -157,16 +187,76 @@ def _plain_scan_length(n, width, found):
     return length
 
 
+def _search_states(table, codes):
+    """Each round-1 leftover's later-round search state, and the relations
+    on the pairs of those dominated at the root.
+
+    A state is read once, when round 2 starts: (the candidate's code, target
+    bitset, the other relations' bitsets, the pair's union, the number of
+    relations on the pair).  A target whose support is a subset of another
+    relation's support on its pair (every relation on a pair has a sample,
+    and a leftover's pair has two or more relations) is dominated at the
+    root: no condition tuple of any width makes it the argmax, so it gets no
+    state, and each later cycle charges its pair's relations the plain
+    scan's miss.
+    """
+    live = []
+    dead_relations = 0
+    for code in codes:
+        quad = table[code[0]]
+        rid = quad.relations[code[1]][0]
+        bitsets, union = quad.bits
+        mine = bitsets[rid]
+        others = [b for r, b in bitsets.items() if r != rid]
+        if _dominated(mine, others, union):
+            dead_relations += len(bitsets)
+        else:
+            live.append((code, mine, others, union, len(bitsets)))
+    return live, dead_relations
+
+
+def _message(g, codes, escaped, records, hits):
+    """The message once the later rounds have omitted `hits`, (search
+    state, conditions) pairs in omission order: the codes they leave, the
+    escaped triples, the round-1 `records`, then a record per hit whose
+    conditions index the reconstruction order."""
+    if not hits:
+        return CompressedMessage(g.content_hash, codes, escaped, records)
+    later = {c[0] for c, _ in hits}
+    known = [code for code in codes if code not in later]
+    offset = len(known) + len(escaped)
+    new = tuple.__new__  # skips the named tuple's Python-level __new__
+    return CompressedMessage(g.content_hash, known, escaped, records + [
+        new(OmissionRecord, (c[0][0], tuple([offset + i for i in chosen])))
+        for c, chosen in hits])
+
+
 def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
-             max_round: int = DEFAULT_MAX_ROUND):
+             max_round: int = DEFAULT_MAX_ROUND, omit: str = DEFAULT_OMIT):
     """Compress one knowledge graph; returns (CompressedMessage, CompressionReport).
 
     Deterministic: candidates are scanned in input order and condition tuples
     in ascending lexicographic index order, with the first qualifying tuple
     recorded.
+
+    `omit="all"` is the paper's rule: each round up to `max_round` omits
+    what it can.  `omit="wire"` runs round r >= 2 only while its records
+    can be smaller than the known triples they replace, that is while
+    (r - 1) * w_c < w_k over round 1's leftover codes (`wire.record_width`
+    and `wire.rank_width`); the first round that fails, and every later
+    one, is skipped unsearched.  When a later round does run, the message
+    is the smallest by `wire.message_size` of those after each round run,
+    the earliest on a tie, so raising `max_round` never grows the encoded
+    message.  The report's stages are the rounds run, also when the
+    message is an earlier round's.  In either mode the rounds end where a
+    round has fewer omitted triples than its width: no condition tuple
+    exists from there on.  `report.stopped` says where and why.
     """
     if max_round < 1:
         raise ValidationError("max_round must be >= 1")
+    if omit not in OMIT_MODES:
+        raise ValidationError("omit must be one of %s, got %r"
+                              % (", ".join(OMIT_MODES), omit))
 
     triples = list(kg.triples)
     report = CompressionReport()
@@ -207,39 +297,37 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
     new = tuple.__new__
     records = [new(OmissionRecord, (i, ())) for i in round1_pairs]
 
-    # Each leftover candidate's search state, read once: (its code, target
-    # bitset, the other relations' bitsets, the pair's union, the number of
-    # relations on the pair).  A target whose support is a subset of another
-    # relation's support on its pair (every relation on a pair has a sample,
-    # and a leftover's pair has two or more relations) is dominated at the
-    # root: no condition tuple of any width makes it the argmax, so it leaves
-    # the search here.
-    live = []
-    dead_relations = 0
-    if max_round > 1:
-        for code in codes:
-            quad = table[code[0]]
-            rid = quad.relations[code[1]][0]
-            bitsets, union = quad.bits
-            mine = bitsets[rid]
-            others = [b for r, b in bitsets.items() if r != rid]
-            if _dominated(mine, others, union):
-                dead_relations += len(bitsets)
-            else:
-                live.append((code, mine, others, union, len(bitsets)))
-
-    # One bitset per omitted triple, in omission order: a round-1 omission's
-    # relation is its pair's verdict, and a later one's bitset is its search
-    # state's target.  A cycle reads the list as it stood when the cycle
-    # began; the list then grows by what the cycle omitted, and the last
-    # cycle of a round omits nothing, so the next round starts from the same
-    # list.
-    cond = [table[i].bits[0][table[i].verdict]
-            for i in round1_pairs] if live else []
+    w_k = (rank_width([rank for _, rank in codes]) if omit == "wire"
+           else None)
     hits = []  # (search state, conditions) per later omission, in order
+    best = None  # in "wire" mode, once round 2 runs: the smallest message
     n_omitted = round1
     for round_no in range(2, max_round + 1):
         width = round_no - 1
+        # Both checks fail for every later round once they fail: the
+        # condition bits grow with the round, w_k and n_omitted stay.
+        if w_k is not None:
+            bits = record_width(round_no, len(triples))
+            if bits >= w_k:
+                report.stopped = RoundStop(round_no, "wire", bits, w_k)
+                break
+        if n_omitted < width:
+            report.stopped = RoundStop(round_no, "no condition tuple")
+            break
+        if round_no == 2:
+            live, dead_relations = _search_states(table, codes)
+            # One bitset per omitted triple, in omission order: a round-1
+            # omission's relation is its pair's verdict, and a later one's
+            # bitset is its search state's target.  A cycle reads the list
+            # as it stood when the cycle began; the list then grows by what
+            # the cycle omitted, and the last cycle of a round omits
+            # nothing, so the next round starts from the same list.
+            cond = [table[i].bits[0][table[i].verdict]
+                    for i in round1_pairs] if live else []
+            if w_k is not None:
+                best = _message(g, codes, escaped, records, hits)
+                best_size = message_size(best).total
+        before = n_omitted
         cycle = old = 0
         while True:
             cycle += 1
@@ -264,18 +352,15 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
             # the conditions appended here.
             old = first
             cond += [c[1] for c, _ in hits[first - n_omitted:]]
+        if best is not None and n_omitted > before:
+            msg = _message(g, codes, escaped, records, hits)
+            size = message_size(msg).total
+            if size < best_size:
+                best, best_size = msg, size
 
-    if hits:
-        later = {c[0] for c, _ in hits}
-        known = [code for code in codes if code not in later]
-    else:
-        known = codes
-    offset = len(known) + len(escaped)
-    records += [new(OmissionRecord, (c[0][0],
-                                     tuple([offset + i for i in chosen])))
-                for c, chosen in hits]
-    msg = CompressedMessage(g.content_hash, known, escaped, records)
-    return msg, report
+    if best is None:
+        best = _message(g, codes, escaped, records, hits)
+    return best, report
 
 
 def _unresolved(table, pair: int, rank: int = 0) -> str:

@@ -285,7 +285,8 @@ def estimate_q(g: ProbabilityGraph, corpus: Corpus,
     At max_round 1 a triple is omitted exactly when its pair is in the graph
     and its relation is the pair's `Quadruple.verdict`, as in `compress`, so
     the distinct triples that match are counted with their multiplicity.
-    Later rounds condition on the rest of the sample, so each is compressed.
+    Later rounds condition on the rest of the sample, so each is compressed
+    under the paper's rule, `omit="all"`.
     """
     if corpus.n_samples == 0 or corpus.n_triples() == 0:
         raise ValidationError("corpus yields no triples")
@@ -301,12 +302,23 @@ def estimate_q(g: ProbabilityGraph, corpus: Corpus,
                 omitted += count
         pooled[(1, 0)] = [corpus.n_triples(), omitted]
     else:
+        # The paper's rule at every round.  A sample whose later rounds end
+        # for want of a condition tuple runs no stage from that round on,
+        # but its unomitted triples still enter each such round's first
+        # cycle: `idle` adds them there.
+        idle = Counter()  # first round not run -> triples left
         for kg in corpus.samples:
-            _, report = compress(g, kg, max_round=max_round)
+            _, report = compress(g, kg, max_round=max_round, omit="all")
             for stage in report.stages:
                 acc = pooled.setdefault((stage.round, stage.cycle), [0, 0])
                 acc[0] += stage.candidates
                 acc[1] += stage.omitted
+            if report.stopped is not None:
+                last = report.stages[-1]
+                idle[report.stopped.round] += last.candidates - last.omitted
+        for (round_no, cycle), acc in pooled.items():
+            if cycle == 1:
+                acc[0] += sum(n for r, n in idle.items() if r <= round_no)
 
     q = []
     for key in sorted(pooled):

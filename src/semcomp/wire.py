@@ -36,11 +36,15 @@ fields run from the lowest bits up:
 Each width is the bit length of the largest value of its field in the
 message; w_p, w_e and w_r are at least 1, so every record takes a bit.
 w_c = (J - 1).bit_length() for a message of J triples: a condition indexes
-a triple reconstructed earlier, so it is below J - 1.  The decoder rejects
-any other width, and escape widths in a message with no escaped triple, so
-a message has one encoding.  Decoding needs no graph: pair indices and
-ranks are resolved by `compressor.decompress`.  `message_size` is the one
-statement of these sizes; `encode_message`'s output is always its total.
+a triple reconstructed earlier, so it is below J - 1.  `record_width` and
+`rank_width` are the one statement of w_c, of a record's width and of w_k;
+`compressor.compress` reads them too, to skip a later round whose records
+could not be smaller than the known triples they replace.  The decoder
+rejects any other width, and escape widths in a message with no escaped
+triple, so a message has one encoding.  Decoding needs no graph: pair
+indices and ranks are resolved by `compressor.decompress`.  `message_size`
+is the one statement of these sizes; `encode_message`'s output is always
+its total.
 Any other version, versions 1 and 2 included, is rejected.
 """
 
@@ -48,7 +52,7 @@ import hashlib
 from dataclasses import dataclass
 from itertools import count, groupby, repeat
 from operator import and_, lshift, lt, or_, rshift
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .errors import MessageDecodeError, ValidationError
 from .kg import Triple
@@ -113,9 +117,17 @@ class WireSize(NamedTuple):
     total: int
 
 
-def _record_width(round_no: int, w_p: int, w_c: int) -> int:
-    """Bits of a round-r omission record: pair index, r - 1 conditions."""
-    return w_p + (round_no - 1) * w_c
+def record_width(round_no: int, total_triples: int, w_p: int = 0) -> int:
+    """Bits of a round-r omission record in a message of J = `total_triples`
+    triples: its pair index of `w_p` bits, then r - 1 condition indices of
+    w_c = (J - 1).bit_length() bits each.  With `w_p` 0 it is the record's
+    condition bits, (r - 1) * w_c, and at round 2 w_c itself."""
+    return w_p + (round_no - 1) * max(total_triples - 1, 0).bit_length()
+
+
+def rank_width(ranks: Iterable[int]) -> int:
+    """w_k: the bit length of the largest of the known triples' ranks."""
+    return max(ranks, default=0).bit_length()
 
 
 def _section_bytes(n: int, width: int) -> int:
@@ -160,7 +172,7 @@ def _plan(msg: CompressedMessage) -> _Plan:
     rec_pairs, conditions = zip(*omissions) if omissions else ((), ())
     # A negative field is caught when it is packed (see encode_message).
     w_p = max(pairs + rec_pairs, default=0).bit_length() or 1
-    w_k = max(ranks, default=0).bit_length()
+    w_k = rank_width(ranks)
     w_e = w_r = 0
     if escaped:
         heads, relations, tails = zip(*escaped)
@@ -180,7 +192,7 @@ def _plan(msg: CompressedMessage) -> _Plan:
     header = (bytes(counts) if max(counts) < 0x80  # one byte per count
               else b"".join(map(_varint, counts)))
     widths = (w_p, w_k, w_e, w_r) if escaped else (w_p, w_k)
-    w_c = max(msg.total_triples - 1, 0).bit_length()
+    w_c = record_width(2, msg.total_triples)
     return _Plan(header + bytes(widths), w_p, w_k, w_e, w_r, w_c, runs)
 
 
@@ -195,7 +207,7 @@ def message_size(msg: CompressedMessage) -> WireSize:
     records: Dict[int, int] = {}
     conditions = 0
     for round_no, n in plan.runs:
-        width = _record_width(round_no, plan.w_p, plan.w_c)
+        width = record_width(round_no, msg.total_triples, plan.w_p)
         records[round_no] = records.get(round_no, 0) + n * plan.w_p
         conditions += n * (width - plan.w_p)
         padding += 8 * _section_bytes(n, width) - n * width
@@ -283,8 +295,8 @@ def encode_message(msg: CompressedMessage) -> bytes:
                     values = list(map(or_, values,
                                       map(lshift, column, repeat(at))))
                     at += plan.w_c
-            sections.append(_pack(values,
-                                  _record_width(round_no, w_p, plan.w_c)))
+            sections.append(_pack(values, record_width(
+                round_no, msg.total_triples, w_p)))
             start += n
     except OverflowError:
         raise ValidationError("pair indices, ranks, ids and condition "
@@ -357,7 +369,8 @@ def decode_message(data: bytes) -> CompressedMessage:
                           and 1 <= w_r <= MAX_ID_BITS):
         raise MessageDecodeError("id width outside 1..%d bits" % MAX_ID_BITS)
     n_full = n_known + n_escaped
-    w_c = max(n_full + sum(table[1::2]) - 1, 0).bit_length()
+    n_total = n_full + sum(table[1::2])
+    w_c = record_width(2, n_total)
     known_width, escaped_width = w_p + w_k, 2 * w_e + w_r
     size = (_section_bytes(n_known, known_width)
             + _section_bytes(n_escaped, escaped_width))
@@ -366,7 +379,7 @@ def decode_message(data: bytes) -> CompressedMessage:
         if not round_no or not n or round_no == previous:
             raise MessageDecodeError(
                 "runs must be non-empty and maximal, with rounds from 1")
-        size += _section_bytes(n, _record_width(round_no, w_p, w_c))
+        size += _section_bytes(n, record_width(round_no, n_total, w_p))
         previous = round_no
     # A record conditions only on triples before it, so a later-round first
     # run needs a full triple ahead of it.  This also stops a one-triple
@@ -402,7 +415,7 @@ def decode_message(data: bytes) -> CompressedMessage:
     c_mask = repeat((1 << w_c) - 1)
     for round_no, n in runs:
         values, seen, pos = _unpack(data, pos, n,
-                                    _record_width(round_no, w_p, w_c))
+                                    record_width(round_no, n_total, w_p))
         pairs |= seen & p_mask
         columns = [list(map(and_, map(rshift, values,
                                       repeat(w_p + k * w_c)), c_mask))

@@ -94,6 +94,20 @@ def rng():
     return random.Random(20240817)
 
 
+def assert_stages_match(report, ref_stages):
+    """`report.stages` are an oracle's stages less its trailing ones, which
+    `compress` does not run: from `report.stopped.round` on fewer triples
+    are omitted than a round's width, so no condition tuple exists and each
+    of those stages omitted nothing."""
+    n = len(report.stages)
+    assert report.stages == ref_stages[:n]
+    dropped = ref_stages[n:]
+    assert all(s.omitted == 0 for s in dropped)
+    if dropped:
+        assert report.stopped.reason == "no condition tuple"
+        assert dropped[0].round == report.stopped.round
+
+
 # -- version 2 content <-> version 3 messages --------------------------------
 #
 # Pair indices count in ascending (head, tail) order, the `.spgr` body's

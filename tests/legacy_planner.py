@@ -4,14 +4,18 @@ went.  Kept as the oracle for test_planner_equivalence.py.  Its round 1 runs
 `compress` itself, so it holds `estimate_q`'s count of verdict matches equal
 to what `compress` omits.
 
-The bodies are the replaced code unchanged; `compress`, `OmissionProfile` and
-the data classes are shared with semcomp.
+The bodies are the replaced code unchanged.  `compress` is legacy_search's:
+the paper's rule at every round, with a stage for every round up to
+`max_round`, also those with no condition tuple, which semcomp's `compress`
+does not run.  `OmissionProfile` and the data classes are shared with
+semcomp.
 """
 
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from semcomp.compressor import DEFAULT_MAX_ROUND, compress
+from legacy_search import compress
+from semcomp.compressor import DEFAULT_MAX_ROUND
 from semcomp.errors import ValidationError
 from semcomp.kg import Corpus, Interner
 from semcomp.probgraph import ProbabilityGraph, Quadruple

@@ -100,14 +100,16 @@ def test_full_pipeline(runner, workspace):
     assert labels == {("a", "r2", "b"), ("x", "u", "y")}
 
 
-def test_report_wire_block_is_the_file(runner, workspace):
+def _compress_report(runner, workspace, *options):
+    """Build the workspace graph, compress its message with `options`, and
+    return the report JSON and the message file."""
     graph, compressed = workspace / "graph.spgr", workspace / "msg.scmp"
     report = workspace / "report.json"
     runner.invoke(main, ["build-graph", "--corpus",
                          str(workspace / "corpus.jsonl"), "--out", str(graph)])
     out = runner.invoke(main, ["compress", "--graph", str(graph),
                                "--input", str(workspace / "message.jsonl"),
-                               "--max-round", "2", "--out", str(compressed),
+                               *options, "--out", str(compressed),
                                "--report", str(report)])
     assert out.exit_code == 0, out.output
     doc = json.loads(report.read_text())
@@ -116,6 +118,15 @@ def test_report_wire_block_is_the_file(runner, workspace):
     assert (block["header"] + block["known"] + block["escaped"]
             + sum(block["records"].values()) + block["conditions"]
             + block["padding"]) == block["total"]
+    return doc, compressed
+
+
+def test_report_wire_block_is_the_file(runner, workspace):
+    doc, compressed = _compress_report(runner, workspace, "--max-round", "2",
+                                       "--omit", "all")
+    block = doc["wire"]
+    graph = workspace / "graph.spgr"
+    assert doc["stopped"] is None
     # x u y is omitted in round 1 and a r2 b, given it, in round 2.  Sent
     # with no omission they are known triples: x u y at rank 0 of pair
     # (x, y), a r2 b at rank 1 of pair (a, b).
@@ -131,6 +142,34 @@ def test_report_wire_block_is_the_file(runner, workspace):
     # the model's payload_bits: 3 * M - E fields of 24 bits, M = 2
     omitted = sum(stage["omitted"] for stage in doc["stages"])
     assert block["model"] == 24 * (3 * 2 - omitted) / 8
+
+
+def test_report_names_the_round_the_wire_skipped(runner, workspace):
+    # By default round 2 is not run: a round-2 record's one condition index
+    # (w_c = 1 bit, 2 triples) saves nothing against a r2 b's 1-bit rank.
+    # x u y is the one round-1 record, its pair index 2 of 2 bits.
+    doc, compressed = _compress_report(runner, workspace, "--max-round", "2")
+    assert doc["stopped"] == {"round": 2, "reason": "wire",
+                              "condition_bits": 1, "rank_bits": 1}
+    assert [(s["round"], s["omitted"]) for s in doc["stages"]] == [(1, 1)]
+    assert doc["wire"]["records"] == {"1": 2 / 8}
+    assert doc["wire"]["conditions"] == 0
+    assert [rec.round for rec in decode_message(compressed.read_bytes())
+            .omissions] == [1]
+
+
+def test_compress_huge_max_round_is_bounded(runner, workspace):
+    # Every round from the first that cannot pay, or has no condition
+    # tuple, is skipped unsearched, so the requested depth costs nothing.
+    # Under the paper's rule rounds 2 and 3 run (2 omitted triples), and
+    # round 4 would need condition triples of 3.
+    for omit, stop, reason, stages in (("wire", 2, "wire", 1),
+                                       ("all", 4, "no condition tuple", 4)):
+        doc, _ = _compress_report(runner, workspace, "--max-round",
+                                  "1000000000", "--omit", omit)
+        assert len(doc["stages"]) == stages
+        assert (doc["stopped"]["round"], doc["stopped"]["reason"]) == (
+            stop, reason)
 
 
 def test_decompress_rejects_v1_message(runner, workspace):
@@ -672,7 +711,7 @@ def test_message_crosses_processes(tmp_path):
             == (tmp_path / "b.spgr").read_bytes())
     for seed, out in ((3, "a"), (4, "b")):
         run(seed, "compress", "--graph", "a.spgr", "--input", "message.jsonl",
-            "--max-round", "3", "--out", out + ".scmp",
+            "--max-round", "3", "--omit", "all", "--out", out + ".scmp",
             "--report", out + ".json")
     sent = (tmp_path / "a.scmp").read_bytes()
     assert sent == (tmp_path / "b.scmp").read_bytes()

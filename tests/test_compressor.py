@@ -1,9 +1,13 @@
+import random
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semcomp.compressor import (CompressedMessage, OmissionRecord,
+from semcomp import kg as kg_module
+from semcomp.compressor import (CompressedMessage, OmissionRecord, RoundStop,
                                 _plain_scan_length, compress, decode_message,
                                 decompress, encode_message)
 from semcomp.errors import (CorruptMessageError, IncompatibleKnowledgeError,
@@ -11,8 +15,10 @@ from semcomp.errors import (CorruptMessageError, IncompatibleKnowledgeError,
 from semcomp.kg import KnowledgeGraph, Triple
 from semcomp.probgraph import ProbabilityGraph, build
 from semcomp.resource import estimate_q
+from semcomp.wire import message_size
 
 from conftest import corpus_from_samples, random_corpus, v2_content
+from test_wire import _workloads
 
 
 def ids(corpus, h, r, t):
@@ -68,7 +74,7 @@ class TestCompress:
 
     def test_conditional_omission(self, toy):
         corpus, g = toy
-        msg, _ = compress(g, corpus.sample(2), max_round=2)
+        msg, _ = compress(g, corpus.sample(2), max_round=2, omit="all")
         assert msg.known == msg.escaped == []
         by_pair = {r.pair: r for r in msg.omissions}
         t_ab = ids(corpus, "a", "r2", "b")
@@ -151,6 +157,8 @@ class TestCompress:
         corpus, g = toy
         with pytest.raises(ValidationError):
             compress(g, corpus.sample(1), max_round=0)
+        with pytest.raises(ValidationError):
+            compress(g, corpus.sample(1), omit="none")
 
     def test_comparison_count_nondecreasing_stages(self, rng):
         corpus = random_corpus(rng, n_samples=6)
@@ -168,6 +176,88 @@ class TestCompress:
             a = encode_message(compress(g, kg, max_round=3)[0])
             b = encode_message(compress(g, kg, max_round=3)[0])
             assert a == b
+
+
+def wide_pairs_corpus(k):
+    """k pairs (a_i, b_i) of 64 relations each, r0 their verdict and r63
+    their last rank, seen only beside (x, u, y).  A message of (x, u, y) and
+    every (a_i, r63, b_i) omits (x, u, y) in round 1, and in round 2 each
+    (a_i, r63, b_i) given it: a record of w_p + w_c bits, where the known
+    triple takes w_p + 6."""
+    pairs = [("a%d" % i, "b%d" % i) for i in range(k)]
+    samples = [[(a, "r0", b) for a, b in pairs]] * 2
+    samples += [[(a, "r%d" % j, b) for a, b in pairs] for j in range(1, 63)]
+    samples.append([(a, "r63", b) for a, b in pairs] + [("x", "u", "y")])
+    corpus = corpus_from_samples(samples)
+    return corpus, build(corpus), corpus.sample(len(samples))
+
+
+@pytest.mark.parametrize("k, sizes", [(7, (70, 70)), (15, (81, 79))])
+def test_later_round_sent_only_when_smaller(k, sizes):
+    # k = 7: w_c = 3 < w_k = 6, so round 2 runs and omits all 7, but its
+    # second run's 2 header bytes eat the 21 bits saved: a tie, and the
+    # earlier message is sent.  k = 15: w_c = 4 saves 2 bits on each of 15
+    # records, and round 2's message is 2 bytes smaller.  Round 3 would
+    # spend 2 * w_c >= 6 bits on conditions, so the wire stops it.
+    corpus, g, message = wide_pairs_corpus(k)
+    round1 = compress(g, message, max_round=1)[0]
+    paper = compress(g, message, max_round=2, omit="all")[0]
+    assert [message_size(m).total for m in (round1, paper)] == list(sizes)
+    for max_round in (2, 3, 4):
+        msg, report = compress(g, message, max_round=max_round)
+        assert msg == (paper if sizes[1] < sizes[0] else round1)
+        assert [(s.round, s.cycle, s.omitted) for s in report.stages] == [
+            (1, 0, 1), (2, 1, k), (2, 2, 0)]
+        assert report.stopped == (None if max_round == 2 else RoundStop(
+            3, "wire", 2 * k.bit_length(), 6))  # w_c of k + 1 triples
+        assert decompress(g, msg).triple_set() == message.triple_set()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_raising_max_round_never_grows_the_message(seed):
+    """By default, the encoded message never grows as max_round goes 1 -> 4,
+    and it stays lossless.  Messages are the samples and small draws of the
+    corpus's triples, where a later round can run (few triples, so narrow
+    condition indices, beside ranks of up to 3 bits)."""
+    rng = random.Random(seed)
+    corpus = random_corpus(rng, n_relations=rng.choice([4, 8]))
+    g = build(corpus)
+    triples = sorted(set(corpus.iter_triples()))
+    messages = list(corpus.samples) + [
+        KnowledgeGraph(rng.sample(triples, min(len(triples),
+                                               rng.randint(1, 4))))
+        for _ in range(5)]
+    for message in messages:
+        sizes = []
+        for max_round in (1, 2, 3, 4):
+            data = encode_message(compress(g, message, max_round)[0])
+            sizes.append(len(data))
+            restored = decompress(g, decode_message(data))
+            assert restored.triple_set() == message.triple_set()
+        assert sizes == sorted(sizes, reverse=True)
+
+
+@pytest.mark.parametrize("name", ["skewed", "tie_heavy", "plan"])
+def test_later_rounds_skipped_on_benchmark_workloads(name):
+    # Seed 1 of each workload at full size, every message: no round-2
+    # record can pay, so max_round 2 and 3 send the max_round=1 message,
+    # and no search state is read (no pair builds its bitsets).
+    workloads = _workloads()
+    inputs = workloads.generate(workloads.SPECS[name], 1)
+    g = build(kg_module.load_corpus_lines(inputs.corpus_lines))
+    ent, rel = g.entities.id_of, g.relations.id_of
+    for triples in inputs.messages:
+        message = KnowledgeGraph([Triple(ent(h), rel(r), ent(t))
+                                  for h, r, t in triples])
+        round1, _ = compress(g, message, max_round=1)
+        for max_round in (2, 3):
+            msg, report = compress(g, message, max_round=max_round)
+            assert msg == round1
+            assert len(report.stages) == 1
+            assert report.stopped.round == 2
+            assert report.stopped.reason == "wire"
+    assert not [q for q in g.pair_table if "bits" in vars(q)]
 
 
 class TestDecompress:
