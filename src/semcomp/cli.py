@@ -70,19 +70,13 @@ def build_graph(corpus_path, out_path):
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--max-round", default=compressor.DEFAULT_MAX_ROUND,
               show_default=True, type=click.IntRange(min=1))
-@click.option("--omit", default=compressor.DEFAULT_OMIT, show_default=True,
-              type=click.Choice(compressor.OMIT_MODES),
-              help="'wire' runs a later round only while its records can "
-                   "be smaller than the known triples they replace; 'all' "
-                   "omits what it can at every round, as the paper does.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--report", "report_path", default=None,
               type=click.Path(dir_okay=False),
               help="Write the compression report, with the message's wire "
                    "bytes, as JSON.")
 @_guard
-def compress_cmd(graph_path, input_path, max_round, omit, out_path,
-                 report_path):
+def compress_cmd(graph_path, input_path, max_round, out_path, report_path):
     """Compress one knowledge-graph file against a shared graph."""
     graph = probgraph.ProbabilityGraph.load(graph_path)
     corpus = kg.load_corpus(input_path, graph)
@@ -96,8 +90,7 @@ def compress_cmd(graph_path, input_path, max_round, omit, out_path,
                 "input uses labels absent from the shared graph (%s, %s, %s)"
                 % (corpus.entities.label(h), corpus.relations.label(r),
                    corpus.entities.label(t)))
-    msg, report = compressor.compress(graph, message_kg, max_round=max_round,
-                                      omit=omit)
+    msg, report = compressor.compress(graph, message_kg, max_round=max_round)
     with open(out_path, "wb") as fh:
         fh.write(wire.encode_message(msg))
     _echo("compressed %d triples: %d omitted, %d comparisons"

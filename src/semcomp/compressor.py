@@ -45,8 +45,8 @@ from .probgraph import ProbabilityGraph, unique_max_relation
 # The codec is `wire`'s, re-exported for callers that reach it through this
 # module, benchmarks/harness.py among them.
 from .wire import (CompressedMessage, OmissionRecord,  # noqa: F401
-                   decode_message, encode_message, message_size, rank_width,
-                   record_width)
+                   condition_width, decode_message, encode_message,
+                   message_size, rank_width)
 
 DEFAULT_MAX_ROUND = 2
 OMIT_MODES = ("wire", "all")
@@ -64,8 +64,9 @@ class StageStats:
 
 @dataclass
 class RoundStop:
-    """The first round up to `max_round` that `compress` did not run, and
-    why.
+    """The first round up to `max_round` that `compress` did not run, why,
+    and the `candidates` it and every later round would have begun with:
+    the triples still unomitted after the rounds run.
 
     `reason` is "wire" when a round-`round` record's `condition_bits`,
     (round - 1) * w_c, are no fewer than `rank_bits`, the w_k of round 1's
@@ -76,6 +77,7 @@ class RoundStop:
     """
     round: int
     reason: str
+    candidates: int
     condition_bits: Optional[int] = None
     rank_bits: Optional[int] = None
 
@@ -242,8 +244,8 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
     `omit="all"` is the paper's rule: each round up to `max_round` omits
     what it can.  `omit="wire"` runs round r >= 2 only while its records
     can be smaller than the known triples they replace, that is while
-    (r - 1) * w_c < w_k over round 1's leftover codes (`wire.record_width`
-    and `wire.rank_width`); the first round that fails, and every later
+    (r - 1) * w_c < w_k over round 1's leftover codes
+    (`wire.condition_width` and `wire.rank_width`); the first round that fails, and every later
     one, is skipped unsearched.  When a later round does run, the message
     is the smallest by `wire.message_size` of those after each round run,
     the earliest on a tie, so raising `max_round` never grows the encoded
@@ -299,6 +301,7 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
 
     w_k = (rank_width([rank for _, rank in codes]) if omit == "wire"
            else None)
+    w_c = condition_width(len(triples))
     hits = []  # (search state, conditions) per later omission, in order
     best = None  # in "wire" mode, once round 2 runs: the smallest message
     n_omitted = round1
@@ -306,13 +309,13 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
         width = round_no - 1
         # Both checks fail for every later round once they fail: the
         # condition bits grow with the round, w_k and n_omitted stay.
-        if w_k is not None:
-            bits = record_width(round_no, len(triples))
-            if bits >= w_k:
-                report.stopped = RoundStop(round_no, "wire", bits, w_k)
-                break
+        left = len(triples) - n_omitted
+        if w_k is not None and width * w_c >= w_k:
+            report.stopped = RoundStop(round_no, "wire", left, width * w_c,
+                                       w_k)
+            break
         if n_omitted < width:
-            report.stopped = RoundStop(round_no, "no condition tuple")
+            report.stopped = RoundStop(round_no, "no condition tuple", left)
             break
         if round_no == 2:
             live, dead_relations = _search_states(table, codes)

@@ -314,8 +314,7 @@ def estimate_q(g: ProbabilityGraph, corpus: Corpus,
                 acc[0] += stage.candidates
                 acc[1] += stage.omitted
             if report.stopped is not None:
-                last = report.stages[-1]
-                idle[report.stopped.round] += last.candidates - last.omitted
+                idle[report.stopped.round] += report.stopped.candidates
         for (round_no, cycle), acc in pooled.items():
             if cycle == 1:
                 acc[0] += sum(n for r, n in idle.items() if r <= round_no)

@@ -36,10 +36,11 @@ fields run from the lowest bits up:
 Each width is the bit length of the largest value of its field in the
 message; w_p, w_e and w_r are at least 1, so every record takes a bit.
 w_c = (J - 1).bit_length() for a message of J triples: a condition indexes
-a triple reconstructed earlier, so it is below J - 1.  `record_width` and
-`rank_width` are the one statement of w_c, of a record's width and of w_k;
-`compressor.compress` reads them too, to skip a later round whose records
-could not be smaller than the known triples they replace.  The decoder
+a triple reconstructed earlier, so it is below J - 1.  `condition_width`,
+`record_width` and `rank_width` are the one statement of w_c, of a
+record's width and of w_k; `compressor.compress` reads w_c and w_k too, to
+skip a later round whose records could not be smaller than the known
+triples they replace.  The decoder
 rejects any other width, and escape widths in a message with no escaped
 triple, so a message has one encoding.  Decoding needs no graph: pair
 indices and ranks are resolved by `compressor.decompress`.  `message_size`
@@ -117,12 +118,18 @@ class WireSize(NamedTuple):
     total: int
 
 
-def record_width(round_no: int, total_triples: int, w_p: int = 0) -> int:
+def condition_width(total_triples: int) -> int:
+    """w_c: the bits of a condition index in a message of J =
+    `total_triples` triples.  A condition names a triple reconstructed
+    before its record, so it is below J - 1."""
+    return max(total_triples - 1, 0).bit_length()
+
+
+def record_width(round_no: int, total_triples: int, w_p: int) -> int:
     """Bits of a round-r omission record in a message of J = `total_triples`
     triples: its pair index of `w_p` bits, then r - 1 condition indices of
-    w_c = (J - 1).bit_length() bits each.  With `w_p` 0 it is the record's
-    condition bits, (r - 1) * w_c, and at round 2 w_c itself."""
-    return w_p + (round_no - 1) * max(total_triples - 1, 0).bit_length()
+    `condition_width(J)` bits each."""
+    return w_p + (round_no - 1) * condition_width(total_triples)
 
 
 def rank_width(ranks: Iterable[int]) -> int:
@@ -192,7 +199,7 @@ def _plan(msg: CompressedMessage) -> _Plan:
     header = (bytes(counts) if max(counts) < 0x80  # one byte per count
               else b"".join(map(_varint, counts)))
     widths = (w_p, w_k, w_e, w_r) if escaped else (w_p, w_k)
-    w_c = record_width(2, msg.total_triples)
+    w_c = condition_width(msg.total_triples)
     return _Plan(header + bytes(widths), w_p, w_k, w_e, w_r, w_c, runs)
 
 
@@ -370,7 +377,7 @@ def decode_message(data: bytes) -> CompressedMessage:
         raise MessageDecodeError("id width outside 1..%d bits" % MAX_ID_BITS)
     n_full = n_known + n_escaped
     n_total = n_full + sum(table[1::2])
-    w_c = record_width(2, n_total)
+    w_c = condition_width(n_total)
     known_width, escaped_width = w_p + w_k, 2 * w_e + w_r
     size = (_section_bytes(n_known, known_width)
             + _section_bytes(n_escaped, escaped_width))

@@ -46,6 +46,21 @@ def random_corpus(rng: random.Random, n_samples=None, n_entities=6,
     return corpus_from_samples(samples)
 
 
+def wide_pairs_corpus(k):
+    """k pairs (a_i, b_i) of 64 relations each, r0 their verdict and r63
+    their last rank, seen only beside (x, u, y); returns the corpus and
+    its last sample, the message (x, u, y) and every (a_i, r63, b_i).  It
+    omits (x, u, y) in round 1, and in round 2 each (a_i, r63, b_i) given
+    it: a record of w_p + w_c bits, where the known triple takes w_p + 6.
+    From k = 15 on, round 2's message is the smaller."""
+    pairs = [("a%d" % i, "b%d" % i) for i in range(k)]
+    samples = [[(a, "r0", b) for a, b in pairs]] * 2
+    samples += [[(a, "r%d" % j, b) for a, b in pairs] for j in range(1, 63)]
+    samples.append([(a, "r63", b) for a, b in pairs] + [("x", "u", "y")])
+    corpus = corpus_from_samples(samples)
+    return corpus, corpus.sample(len(samples))
+
+
 # -- brute-force per-sample counting oracle ---------------------------------
 
 def _samples_with(corpus, triple):
@@ -98,14 +113,16 @@ def assert_stages_match(report, ref_stages):
     """`report.stages` are an oracle's stages less its trailing ones, which
     `compress` does not run: from `report.stopped.round` on fewer triples
     are omitted than a round's width, so no condition tuple exists and each
-    of those stages omitted nothing."""
+    of those stages began with `report.stopped.candidates` and omitted
+    nothing."""
     n = len(report.stages)
     assert report.stages == ref_stages[:n]
     dropped = ref_stages[n:]
-    assert all(s.omitted == 0 for s in dropped)
     if dropped:
         assert report.stopped.reason == "no condition tuple"
         assert dropped[0].round == report.stopped.round
+        assert {(s.candidates, s.omitted) for s in dropped} == {
+            (report.stopped.candidates, 0)}
 
 
 # -- version 2 content <-> version 3 messages --------------------------------

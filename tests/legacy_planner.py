@@ -1,14 +1,14 @@
 """Reference planner ingest: `estimate_q`, which compressed every sample at
 every round, and `build`, which grouped each triple occurrence by pair as it
-went.  Kept as the oracle for test_planner_equivalence.py.  Its round 1 runs
-`compress` itself, so it holds `estimate_q`'s count of verdict matches equal
-to what `compress` omits.
+went.  Kept as the oracle for test_planner_equivalence.py, which also holds
+`estimate_q`'s round-1 count of verdict matches equal to what semcomp's
+`compress` omits.
 
-The bodies are the replaced code unchanged.  `compress` is legacy_search's:
-the paper's rule at every round, with a stage for every round up to
-`max_round`, also those with no condition tuple, which semcomp's `compress`
-does not run.  `OmissionProfile` and the data classes are shared with
-semcomp.
+The bodies are the replaced code unchanged.  `compress` is legacy_search's,
+so every round is counted against the replaced compressor: the paper's rule
+at every round, with a stage for every round up to `max_round`, also those
+with no condition tuple, which semcomp's `compress` does not run.
+`OmissionProfile` and the data classes are shared with semcomp.
 """
 
 from fractions import Fraction

@@ -4,7 +4,6 @@ import io
 import json
 import math
 import os
-import random
 import subprocess
 import sys
 
@@ -26,7 +25,7 @@ from semcomp.probgraph import ProbabilityGraph, Quadruple, build
 
 import legacy_wire
 import legacy_wire_v2
-from conftest import random_corpus, v2_content
+from conftest import v2_content, wide_pairs_corpus
 from test_wire import _widened
 
 CORPUS_LINES = [
@@ -64,6 +63,24 @@ def workspace(tmp_path):
         {"sample": 1, "triples": [["a", "r2", "b"], ["x", "u", "y"]]}) + "\n")
     config = tmp_path / "link.yaml"
     config.write_text(CONFIG)
+    return tmp_path
+
+
+def _write_wide_pairs(path, k):
+    """`wide_pairs_corpus(k)` as corpus.jsonl and message.jsonl in `path`."""
+    corpus, message = wide_pairs_corpus(k)
+    kg.dump_corpus(corpus, path / "corpus.jsonl")
+    kg.dump_corpus(kg.Corpus([kg.KnowledgeGraph(message.triples,
+                                                sample_id=1)],
+                             corpus.entities, corpus.relations),
+                   path / "message.jsonl")
+    return corpus, message
+
+
+@pytest.fixture
+def wide_workspace(tmp_path):
+    """A message whose round-2 records pay: see `wide_pairs_corpus`."""
+    _write_wide_pairs(tmp_path, 15)
     return tmp_path
 
 
@@ -121,55 +138,66 @@ def _compress_report(runner, workspace, *options):
     return doc, compressed
 
 
-def test_report_wire_block_is_the_file(runner, workspace):
-    doc, compressed = _compress_report(runner, workspace, "--max-round", "2",
-                                       "--omit", "all")
+def test_report_wire_block_is_the_file(runner, wide_workspace):
+    doc, compressed = _compress_report(runner, wide_workspace,
+                                       "--max-round", "2")
     block = doc["wire"]
-    graph = workspace / "graph.spgr"
+    g = ProbabilityGraph.load(wide_workspace / "graph.spgr")
     assert doc["stopped"] is None
-    # x u y is omitted in round 1 and a r2 b, given it, in round 2.  Sent
-    # with no omission they are known triples: x u y at rank 0 of pair
-    # (x, y), a r2 b at rank 1 of pair (a, b).
-    g = ProbabilityGraph.load(graph)
+    # x u y is omitted in round 1 and each a_i r63 b_i, given it, in round
+    # 2.  Sent with no omission they are known triples: x u y at rank 0 of
+    # pair (x, y), a_i r63 b_i at rank 63 of pair (a_i, b_i).
     ent = g.entities.id_of
     assert [rec.round for rec in decode_message(compressed.read_bytes())
-            .omissions] == [1, 2]
-    plain = CompressedMessage(g.content_hash,
-                              [(g.pair_index[ent("x"), ent("y")], 0),
-                               (g.pair_index[ent("a"), ent("b")], 1)], [], [])
+            .omissions] == [1] + [2] * 15
+    plain = CompressedMessage(g.content_hash, [
+        (g.pair_index[ent("x"), ent("y")], 0)] + [
+        (g.pair_index[ent("a%d" % i), ent("b%d" % i)], 63)
+        for i in range(15)], [], [])
     assert block["without_omission"] == len(encode_message(plain))
-    assert block["without_omission"] < block["total"]
-    # the model's payload_bits: 3 * M - E fields of 24 bits, M = 2
+    # 15 records of 4 + 4 bits save 30 bits against known triples of 4 + 6,
+    # and the runs' header bytes spend them again.
+    assert block["without_omission"] == block["total"] == 79
+    assert block["records"] == {"1": 4 / 8, "2": 15 * 4 / 8}
+    assert block["conditions"] == 15 * 4 / 8
+    # the model's payload_bits: 3 * M - E fields of 24 bits, M = 16
     omitted = sum(stage["omitted"] for stage in doc["stages"])
-    assert block["model"] == 24 * (3 * 2 - omitted) / 8
+    assert omitted == 16
+    assert block["model"] == 24 * (3 * 16 - omitted) / 8
 
 
 def test_report_names_the_round_the_wire_skipped(runner, workspace):
-    # By default round 2 is not run: a round-2 record's one condition index
-    # (w_c = 1 bit, 2 triples) saves nothing against a r2 b's 1-bit rank.
-    # x u y is the one round-1 record, its pair index 2 of 2 bits.
+    # Round 2 is not run: a round-2 record's one condition index (w_c = 1
+    # bit, 2 triples) saves nothing against a r2 b's 1-bit rank.  x u y is
+    # the one round-1 record, its pair index 2 of 2 bits.
     doc, compressed = _compress_report(runner, workspace, "--max-round", "2")
-    assert doc["stopped"] == {"round": 2, "reason": "wire",
+    assert doc["stopped"] == {"round": 2, "reason": "wire", "candidates": 1,
                               "condition_bits": 1, "rank_bits": 1}
     assert [(s["round"], s["omitted"]) for s in doc["stages"]] == [(1, 1)]
-    assert doc["wire"]["records"] == {"1": 2 / 8}
-    assert doc["wire"]["conditions"] == 0
+    block = doc["wire"]
+    assert block["records"] == {"1": 2 / 8}
+    assert block["conditions"] == 0
+    # Even round 1's record costs a byte: its run's header outweighs the
+    # rank it saves.
+    assert block["without_omission"] < block["total"]
     assert [rec.round for rec in decode_message(compressed.read_bytes())
             .omissions] == [1]
 
 
-def test_compress_huge_max_round_is_bounded(runner, workspace):
-    # Every round from the first that cannot pay, or has no condition
-    # tuple, is skipped unsearched, so the requested depth costs nothing.
-    # Under the paper's rule rounds 2 and 3 run (2 omitted triples), and
-    # round 4 would need condition triples of 3.
-    for omit, stop, reason, stages in (("wire", 2, "wire", 1),
-                                       ("all", 4, "no condition tuple", 4)):
-        doc, _ = _compress_report(runner, workspace, "--max-round",
-                                  "1000000000", "--omit", omit)
-        assert len(doc["stages"]) == stages
-        assert (doc["stopped"]["round"], doc["stopped"]["reason"]) == (
-            stop, reason)
+@pytest.mark.parametrize("fixture, stages, stop", [
+    ("workspace", 1, {"round": 2, "reason": "wire", "candidates": 1,
+                      "condition_bits": 1, "rank_bits": 1}),
+    ("wide_workspace", 3, {"round": 3, "reason": "wire", "candidates": 0,
+                           "condition_bits": 8, "rank_bits": 6}),
+])
+def test_compress_huge_max_round_is_bounded(runner, request, fixture, stages,
+                                            stop):
+    # Every round from the first whose records cannot pay is skipped
+    # unsearched, so the requested depth costs nothing.
+    doc, _ = _compress_report(runner, request.getfixturevalue(fixture),
+                              "--max-round", "1000000000")
+    assert len(doc["stages"]) == stages
+    assert doc["stopped"] == stop
 
 
 def test_decompress_rejects_v1_message(runner, workspace):
@@ -689,12 +717,7 @@ def test_message_crosses_processes(tmp_path):
     """The BS and the user are separate processes with their own string-hash
     seeds: the graph, the message, its report and the omission profile they
     write must not depend on it."""
-    corpus = random_corpus(random.Random(23), n_samples=15, n_entities=8)
-    largest = max(corpus.samples, key=len)
-    message = kg.Corpus([kg.KnowledgeGraph(largest.triples, sample_id=1)],
-                        corpus.entities, corpus.relations)
-    kg.dump_corpus(corpus, tmp_path / "corpus.jsonl")
-    kg.dump_corpus(message, tmp_path / "message.jsonl")
+    corpus, message = _write_wide_pairs(tmp_path, 15)
     src = os.path.dirname(os.path.dirname(semcomp.__file__))
 
     def run(seed, *args):
@@ -711,7 +734,7 @@ def test_message_crosses_processes(tmp_path):
             == (tmp_path / "b.spgr").read_bytes())
     for seed, out in ((3, "a"), (4, "b")):
         run(seed, "compress", "--graph", "a.spgr", "--input", "message.jsonl",
-            "--max-round", "3", "--omit", "all", "--out", out + ".scmp",
+            "--max-round", "3", "--out", out + ".scmp",
             "--report", out + ".json")
     sent = (tmp_path / "a.scmp").read_bytes()
     assert sent == (tmp_path / "b.scmp").read_bytes()
@@ -721,11 +744,12 @@ def test_message_crosses_processes(tmp_path):
     run(5, "decompress", "--graph", "b.spgr", "--input", "a.scmp",
         "--out", "restored.jsonl")
 
-    def labelled(c):
+    def labelled(c, sample):
         return {(c.entities.label(t.head), c.relations.label(t.relation),
-                 c.entities.label(t.tail)) for t in c.sample(1).triples}
-    assert labelled(load_corpus(tmp_path / "restored.jsonl")) == labelled(
-        message)
+                 c.entities.label(t.tail)) for t in sample.triples}
+    restored = load_corpus(tmp_path / "restored.jsonl")
+    assert (labelled(restored, restored.sample(1))
+            == labelled(corpus, message))
     for max_round in ("1", "2"):
         profiles = [run(seed, "estimate-q", "--graph", "a.spgr", "--corpus",
                         "corpus.jsonl", "--max-round", max_round)

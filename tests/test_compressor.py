@@ -17,7 +17,8 @@ from semcomp.probgraph import ProbabilityGraph, build
 from semcomp.resource import estimate_q
 from semcomp.wire import message_size
 
-from conftest import corpus_from_samples, random_corpus, v2_content
+from conftest import (corpus_from_samples, random_corpus, v2_content,
+                      wide_pairs_corpus)
 from test_wire import _workloads
 
 
@@ -178,20 +179,6 @@ class TestCompress:
             assert a == b
 
 
-def wide_pairs_corpus(k):
-    """k pairs (a_i, b_i) of 64 relations each, r0 their verdict and r63
-    their last rank, seen only beside (x, u, y).  A message of (x, u, y) and
-    every (a_i, r63, b_i) omits (x, u, y) in round 1, and in round 2 each
-    (a_i, r63, b_i) given it: a record of w_p + w_c bits, where the known
-    triple takes w_p + 6."""
-    pairs = [("a%d" % i, "b%d" % i) for i in range(k)]
-    samples = [[(a, "r0", b) for a, b in pairs]] * 2
-    samples += [[(a, "r%d" % j, b) for a, b in pairs] for j in range(1, 63)]
-    samples.append([(a, "r63", b) for a, b in pairs] + [("x", "u", "y")])
-    corpus = corpus_from_samples(samples)
-    return corpus, build(corpus), corpus.sample(len(samples))
-
-
 @pytest.mark.parametrize("k, sizes", [(7, (70, 70)), (15, (81, 79))])
 def test_later_round_sent_only_when_smaller(k, sizes):
     # k = 7: w_c = 3 < w_k = 6, so round 2 runs and omits all 7, but its
@@ -199,7 +186,8 @@ def test_later_round_sent_only_when_smaller(k, sizes):
     # earlier message is sent.  k = 15: w_c = 4 saves 2 bits on each of 15
     # records, and round 2's message is 2 bytes smaller.  Round 3 would
     # spend 2 * w_c >= 6 bits on conditions, so the wire stops it.
-    corpus, g, message = wide_pairs_corpus(k)
+    corpus, message = wide_pairs_corpus(k)
+    g = build(corpus)
     round1 = compress(g, message, max_round=1)[0]
     paper = compress(g, message, max_round=2, omit="all")[0]
     assert [message_size(m).total for m in (round1, paper)] == list(sizes)
@@ -208,9 +196,25 @@ def test_later_round_sent_only_when_smaller(k, sizes):
         assert msg == (paper if sizes[1] < sizes[0] else round1)
         assert [(s.round, s.cycle, s.omitted) for s in report.stages] == [
             (1, 0, 1), (2, 1, k), (2, 2, 0)]
+        # Round 2 omits every triple; w_c is that of k + 1 triples.
         assert report.stopped == (None if max_round == 2 else RoundStop(
-            3, "wire", 2 * k.bit_length(), 6))  # w_c of k + 1 triples
+            3, "wire", 0, 2 * k.bit_length(), 6))
         assert decompress(g, msg).triple_set() == message.triple_set()
+
+
+def test_paper_rule_at_huge_max_round_is_bounded():
+    # Under the paper's rule rounds 2 and 3 run (x u y omitted in round 1,
+    # a r2 b given it in round 2), and round 4 would need condition tuples
+    # of 3 of the 2 omitted triples, so the rounds end there.
+    corpus = corpus_from_samples([[("a", "r1", "b"), ("c", "s", "d")],
+                                  [("a", "r2", "b"), ("x", "u", "y")],
+                                  [("a", "r1", "b"), ("c", "s", "d")]])
+    g = build(corpus)
+    msg, report = compress(g, corpus.sample(2), max_round=10**9, omit="all")
+    assert [(s.round, s.omitted) for s in report.stages] == [
+        (1, 1), (2, 1), (2, 0), (3, 0)]
+    assert report.stopped == RoundStop(4, "no condition tuple", 0)
+    assert [rec.round for rec in msg.omissions] == [1, 2]
 
 
 @settings(max_examples=60, deadline=None)

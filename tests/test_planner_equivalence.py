@@ -4,10 +4,12 @@ ids gathered per distinct triple) against the per-sample compressions and
 per-occurrence grouping they replaced (legacy_planner.py)."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 import legacy_planner as legacy
+from semcomp.compressor import compress
 from semcomp.kg import Corpus, KnowledgeGraph, Triple
 from semcomp.probgraph import build
 from semcomp.resource import estimate_q
@@ -57,6 +59,19 @@ def test_estimate_q_matches_reference(max_round):
         g = build(corpus)
         assert (_profile(estimate_q, g, corpus, max_round)
                 == _profile(legacy.estimate_q, g, corpus, max_round))
+
+
+def test_round1_q_is_what_compress_omits():
+    # The oracle compresses with the replaced compressor; this holds round 1
+    # to the shipping one.
+    for corpus in CORPORA:
+        g = build(corpus)
+        stages = [compress(g, kg, max_round=1)[1].stages[0]
+                  for kg in corpus.samples]
+        omitted = sum(s.omitted for s in stages)
+        expected = ([Fraction(omitted, sum(s.candidates for s in stages))]
+                    if omitted else [])
+        assert estimate_q(g, corpus, max_round=1)._q == expected
 
 
 @pytest.mark.parametrize("max_round", [1, 2, 3])
