@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from operator import sub
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (GraphDecodeError, PairNotFoundError, RelationNotFoundError,
@@ -214,12 +215,10 @@ class ProbabilityGraph:
         for quad in self.pair_table:
             out.extend(struct.pack("<III", quad.head, quad.tail,
                                    len(quad.relations)))
-            for rid, samples in quad.relations:
-                out.extend(struct.pack("<II", rid, len(samples)))
-                prev = 0
-                for sid in samples:  # delta-encoded sorted sample ids
-                    out.extend(struct.pack("<I", sid - prev))
-                    prev = sid
+            for rid, samples in quad.relations:  # sorted ids as deltas
+                out.extend(struct.pack("<II%dI" % len(samples), rid,
+                                       len(samples),
+                                       *map(sub, samples, (0,) + samples)))
         return bytes(out)
 
     def _counts(self) -> bytes:

@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import importlib.util
 import random
 import tracemalloc
+from collections import Counter
 from itertools import groupby
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import legacy_wire
 import legacy_wire_v2
+import legacy_wire_v3
 from semcomp import kg
 from semcomp.compressor import compress, decompress
 from semcomp.errors import MessageDecodeError, ValidationError
@@ -44,6 +47,47 @@ def random_message(rng: random.Random, j=None, e=None):
                                         conditions=conds))
     return CompressedMessage(bytes(rng.randrange(256) for _ in range(32)),
                              known, escaped, omissions)
+
+
+# Held equal to tests/legacy_wire_v3.py, the codec before the section list.
+
+def _as_v3_oracle(msg):
+    """`msg` in legacy_wire_v3's own message types."""
+    return legacy_wire_v3.CompressedMessage(
+        msg.graph_hash, msg.known, msg.escaped,
+        [legacy_wire_v3.OmissionRecord(*rec) for rec in msg.omissions])
+
+
+def _fields(msg):
+    return (msg.graph_hash, msg.known, msg.escaped,
+            [tuple(rec) for rec in msg.omissions])
+
+
+def assert_encodes_as_oracle(msg):
+    """Equal bytes, equal `message_size` fields and equal decoded fields."""
+    data = encode_message(msg)
+    old = _as_v3_oracle(msg)
+    assert data == legacy_wire_v3.encode_message(old)
+    assert tuple(message_size(msg)) == tuple(legacy_wire_v3.message_size(old))
+    assert (_fields(decode_message(data))
+            == _fields(legacy_wire_v3.decode_message(data)) == _fields(msg))
+
+
+def assert_decodes_as_oracle(data):
+    """Both codecs reject `data` with the same error text, or both decode it
+    to the same fields."""
+    try:
+        new = _fields(decode_message(data))
+    except MessageDecodeError as error:
+        new = error
+    try:
+        old = _fields(legacy_wire_v3.decode_message(data))
+    except MessageDecodeError as error:
+        old = error
+    if isinstance(old, Exception) or isinstance(new, Exception):
+        assert (type(new), str(new)) == (type(old), str(old))
+    else:
+        assert new == old
 
 
 def test_empty_omission_roundtrip():
@@ -89,17 +133,25 @@ def test_codec_round_trips(msg):
     data = encode_message(msg)
     assert decode_message(data) == msg
     assert encode_message(decode_message(data)) == data
-    assert message_size(msg).total == len(data)
+    size = message_size(msg)
+    assert size.total == len(data)
+    assert (8 * size.header + size.known + size.escaped
+            + sum(size.records.values()) + size.conditions + size.padding
+            ) == 8 * size.total
+    # Rounds may repeat in any order: records[r] sums every round-r run.
+    w_p = data[size.header - (4 if msg.escaped else 2)]
+    assert size.records == {
+        r: n * w_p for r, n in Counter(rec.round for rec in msg.omissions
+                                       ).items()}
+    assert_encodes_as_oracle(msg)
 
 
 @settings(max_examples=100)
 @given(st.binary(max_size=300))
 def test_arbitrary_bytes_never_crash(data):
     # junk must raise the decode error, not arbitrary exceptions
-    try:
-        decode_message(data)
-    except MessageDecodeError:
-        pass
+    assert_decodes_as_oracle(data)
+    assert_decodes_as_oracle(b"SCMP\x03\x00" + data)
 
 
 @settings(max_examples=60)
@@ -155,8 +207,11 @@ def test_graph_hash_of_wrong_length_rejected(graph_hash):
 ])
 def test_encoder_refuses_fields_it_cannot_write(msg):
     # negative or wider than 32 bits, or a condition on a later triple
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as refused:
         encode_message(msg)
+    with pytest.raises(ValidationError) as oracle:
+        legacy_wire_v3.encode_message(_as_v3_oracle(msg))
+    assert str(refused.value) == str(oracle.value)
 
 
 # -- codec v3 against the v1 and v2 oracles ----------------------------------
@@ -321,7 +376,8 @@ def test_forge_rebuilds_the_encoding(msg):
 @given(n_known=st.integers(0, 2**63), n_escaped=st.integers(0, 2**63),
        runs=st.lists(st.tuples(st.integers(0, 2**63), st.integers(0, 2**63)),
                      max_size=3),
-       widths=st.lists(st.integers(0, 255), min_size=2, max_size=4),
+       widths=st.lists(st.integers(0, 34) | st.integers(0, 255), min_size=2,
+                       max_size=4),
        pin=st.sampled_from(PINNED))
 def test_forged_counts_and_widths(n_known, n_escaped, runs, widths, pin):
     msg = pin[0]
@@ -339,6 +395,7 @@ def test_forged_counts_and_widths(n_known, n_escaped, runs, widths, pin):
     # The declared size is checked against the body before any record is
     # built, so no count makes the decoder allocate beyond the message.
     assert peak < 64 * 1024
+    assert_decodes_as_oracle(forged)
     if decoded is not None:
         assert 1 <= widths[0] <= 32 and widths[1] <= 32
         assert len(widths) == (4 if n_escaped else 2)
@@ -349,15 +406,19 @@ def test_forged_counts_and_widths(n_known, n_escaped, runs, widths, pin):
 @settings(max_examples=150, deadline=None)
 @given(pin=st.sampled_from(PINNED), data=st.data())
 def test_redigested_mutations_decode_canonically(pin, data):
-    """A changed header or body byte under a matching digest is rejected,
-    or decodes to a message that encodes back to exactly those bytes."""
+    """A changed, cut or extended header or body under a matching digest
+    is rejected, or decodes to a message that encodes back to exactly those
+    bytes."""
     counts, widths, body = _parts(pin[0])
     rest = bytearray(b"".join(map(_leb128, counts)) + bytes(widths) + body)
     at = data.draw(st.integers(0, len(rest) - 1))
     rest[at] = data.draw(st.integers(0, 255))
+    rest = rest[:data.draw(st.integers(0, len(rest)))]
+    rest += data.draw(st.binary(max_size=4))
     head = b"SCMP\x03\x00" + b"\xab" * 32
     forged = (head + hashlib.blake2b(head + rest, digest_size=16).digest()
               + bytes(rest))
+    assert_decodes_as_oracle(forged)
     try:
         decoded = decode_message(forged)
     except MessageDecodeError:
@@ -408,11 +469,12 @@ def _widened(msg, monkeypatch, d_p=0, d_k=0, d_e=0, d_r=0):
     plan = wire._plan
 
     def wide(m):
-        p = plan(m)
-        w = (p.w_p + d_p, p.w_k + d_k, p.w_e + d_e, p.w_r + d_r)
+        header, (w_p, w_k, w_e, w_r), runs, _ = plan(m)
+        w = (w_p + d_p, w_k + d_k, w_e + d_e, w_r + d_r)
         n = 4 if m.escaped else 2
-        return p._replace(header=p.header[:-n] + bytes(w[:n]), w_p=w[0],
-                          w_k=w[1], w_e=w[2], w_r=w[3])
+        return (header[:-n] + bytes(w[:n]), w, runs,
+                wire._sections(len(m.known), len(m.escaped), runs,
+                               m.total_triples, *w))
 
     with monkeypatch.context() as patch:
         patch.setattr(wire, "_plan", wide)
@@ -475,18 +537,36 @@ def _workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["skewed", "tie_heavy", "plan"])
-def test_message_size_is_the_length_on_benchmark_workloads(name):
-    # Seed 1 of each workload at full size, every message, at its max_round.
+@functools.lru_cache(maxsize=None)
+def _seed_1(name):
+    """Seed 1 of a workload at full size: its spec, graph and messages."""
     workloads = _workloads()
     spec = workloads.SPECS[name]
     inputs = workloads.generate(spec, 1)
     g = build(kg.load_corpus_lines(inputs.corpus_lines))
-    receiver = ProbabilityGraph.from_bytes(g.to_bytes())
     ent, rel = g.entities.id_of, g.relations.id_of
-    for triples in inputs.messages:
-        message = kg.KnowledgeGraph([Triple(ent(h), rel(r), ent(t))
-                                     for h, r, t in triples])
+    messages = [kg.KnowledgeGraph([Triple(ent(h), rel(r), ent(t))
+                                   for h, r, t in triples])
+                for triples in inputs.messages]
+    return spec, g, messages
+
+
+@pytest.mark.parametrize("name", ["skewed", "tie_heavy", "plan"])
+def test_benchmark_messages_match_v3_oracle(name):
+    _, g, messages = _seed_1(name)
+    for max_round in (1, 2, 3):
+        for omit in ("wire", "all"):
+            for message in messages:
+                assert_encodes_as_oracle(
+                    compress(g, message, max_round, omit)[0])
+
+
+@pytest.mark.parametrize("name", ["skewed", "tie_heavy", "plan"])
+def test_message_size_is_the_length_on_benchmark_workloads(name):
+    # Seed 1 of each workload at full size, every message, at its max_round.
+    spec, g, messages = _seed_1(name)
+    receiver = ProbabilityGraph.from_bytes(g.to_bytes())
+    for message in messages:
         msg = compress(g, message, spec.max_round)[0]
         data = encode_message(msg)
         assert message_size(msg).total == len(data)
