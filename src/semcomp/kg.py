@@ -251,6 +251,8 @@ def dump_corpus_lines(corpus: Corpus):
 
 
 def dump_corpus(corpus: Corpus, path):
+    """Write the corpus as JSONL.  Every label is resolved before `path` is
+    opened, so an unknown id (ValidationError) leaves no file behind."""
+    text = "".join(line + "\n" for line in dump_corpus_lines(corpus))
     with open(path, "w", encoding="utf-8") as fh:
-        for line in dump_corpus_lines(corpus):
-            fh.write(line + "\n")
+        fh.write(text)

@@ -9,6 +9,11 @@ count, a sha256 digest, and the body.  The digest covers the version, N, the
 pair count and the body, and it is the graph's `content_hash`.  The body
 lists the quadruples in `ProbabilityGraph.pair_table` order, which is also
 the order in which a message names a pair by its index.
+
+A graph keeps its `.spgr` bytes once they are written or read: `to_bytes`
+returns them and `content_hash` is their digest, so the file is written at
+most once, and `from_bytes` keeps the bytes it checked.  The memory cost is
+one file size.
 """
 
 import hashlib
@@ -106,7 +111,6 @@ class ProbabilityGraph:
         self.n_samples = n_samples
         self.entities = entities
         self.relations = relations
-        self._hash: Optional[bytes] = None
 
     @property
     def n_pairs(self) -> int:
@@ -133,9 +137,7 @@ class ProbabilityGraph:
 
     @property
     def content_hash(self) -> bytes:
-        if self._hash is None:
-            self._hash = _digest(self._counts(), self._body_bytes())
-        return self._hash
+        return self._file[1]
 
     # -- probability queries ------------------------------------------------
 
@@ -221,17 +223,17 @@ class ProbabilityGraph:
                                        *map(sub, samples, (0,) + samples)))
         return bytes(out)
 
-    def _counts(self) -> bytes:
-        """The header fields after the magic: version, N and pair count."""
-        return struct.pack("<HII", FORMAT_VERSION, self.n_samples,
-                           len(self.quadruples))
+    @cached_property
+    def _file(self) -> Tuple[bytes, bytes]:
+        """The `.spgr` file and its digest, written once per graph."""
+        counts = struct.pack("<HII", FORMAT_VERSION, self.n_samples,
+                             len(self.quadruples))
+        body = self._body_bytes()
+        digest = _digest(counts, body)
+        return FORMAT_MAGIC + counts + digest + body, digest
 
     def to_bytes(self) -> bytes:
-        counts, body = self._counts(), self._body_bytes()
-        digest = _digest(counts, body)
-        if self._hash is None:  # saves `content_hash` a second serialization
-            self._hash = digest
-        return FORMAT_MAGIC + counts + digest + body
+        return self._file[0]
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProbabilityGraph":
@@ -324,7 +326,9 @@ class ProbabilityGraph:
         if pos != len(view):
             raise GraphDecodeError("trailing bytes after graph body")
         graph = cls(quadruples, n_samples, entities, relations)
-        graph._hash = digest
+        # Only the bytes `to_bytes` would write get here, so they are kept.
+        graph._file = (data if isinstance(data, bytes) else bytes(data),
+                       digest)
         return graph
 
     def save(self, path):

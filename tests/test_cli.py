@@ -20,7 +20,7 @@ from semcomp.compressor import (CompressedMessage, OmissionRecord,
                                 decode_message, encode_message)
 from semcomp.errors import GraphDecodeError
 from semcomp.experiments import CONFIG_KEYS, SWEEP_VARIABLES
-from semcomp.kg import load_corpus
+from semcomp.kg import Triple, load_corpus
 from semcomp.probgraph import ProbabilityGraph, Quadruple, build
 
 import legacy_wire
@@ -279,6 +279,87 @@ def test_decompress_known_triple_beyond_the_graph_exit_2(runner, workspace,
                                "--out", str(workspace / "out.jsonl")])
     assert out.exit_code == 2
     assert out.output.startswith("error:") and why in out.output
+
+
+@pytest.mark.parametrize("existing", [None, "kept\n"])
+def test_decompress_unknown_label_writes_nothing(runner, workspace,
+                                                 existing):
+    # An escaped triple whose head is past the graph's entity table fails
+    # only when its label is looked up: after decoding, before writing.
+    graph, bad = workspace / "graph.spgr", workspace / "bad.scmp"
+    runner.invoke(main, ["build-graph", "--corpus",
+                         str(workspace / "corpus.jsonl"), "--out", str(graph)])
+    g = ProbabilityGraph.load(graph)
+    bad.write_bytes(encode_message(CompressedMessage(
+        g.content_hash, [(0, 0)], [Triple(999, 0, 1)], [])))
+    restored = workspace / "out.jsonl"
+    if existing is not None:
+        restored.write_text(existing)
+    out = runner.invoke(main, ["decompress", "--graph", str(graph),
+                               "--input", str(bad), "--out", str(restored)])
+    assert out.exit_code == 2
+    assert out.output == "error: unknown intern id 999\n"
+    if existing is None:
+        assert not restored.exists()
+    else:
+        assert restored.read_text() == existing
+
+
+# A `.spgr` file's first entity label starts after the 46-byte header, the
+# entity count and the label's length.
+FIRST_LABEL = 54
+
+
+@pytest.mark.parametrize("damage, why", [
+    (lambda data: data + b"\x00", "trailing bytes after graph body"),
+    (lambda data: data[:FIRST_LABEL] + b"\xff" + data[FIRST_LABEL + 1:],
+     "invalid label encoding"),
+], ids=["trailing-bytes", "non-utf8-label"])
+def test_decompress_redigested_graph_exit_2(runner, workspace, damage, why):
+    graph = workspace / "graph.spgr"
+    _compress_report(runner, workspace)
+    data = graph.read_bytes()
+    assert data[FIRST_LABEL:FIRST_LABEL + 1] == b"a"
+    graph.write_bytes(_rehash("graph.spgr", damage(data)))
+    out = runner.invoke(main, ["decompress", "--graph", str(graph),
+                               "--input", str(workspace / "msg.scmp"),
+                               "--out", str(workspace / "out.jsonl")])
+    assert out.exit_code == 2
+    assert out.output == "error: %s\n" % why
+    assert not (workspace / "out.jsonl").exists()
+
+
+def test_compress_two_samples_exit_2(runner, workspace):
+    graph, two = workspace / "graph.spgr", workspace / "two.jsonl"
+    runner.invoke(main, ["build-graph", "--corpus",
+                         str(workspace / "corpus.jsonl"), "--out", str(graph)])
+    two.write_text("".join(json.dumps(o) + "\n" for o in CORPUS_LINES[:2]))
+    out = runner.invoke(main, ["compress", "--graph", str(graph),
+                               "--input", str(two),
+                               "--out", str(workspace / "msg.scmp")])
+    assert out.exit_code == 2
+    assert "input must contain exactly one sample, found 2" in out.output
+    assert not (workspace / "msg.scmp").exists()
+
+
+def test_optimize_empty_config_takes_the_defaults(runner, tmp_path):
+    empty, spelled = tmp_path / "empty.yaml", tmp_path / "defaults.yaml"
+    empty.write_text("")
+    spelled.write_text("m_total: 100\nq: [0.3, 0.2, 0.1]\n")
+    outs = [runner.invoke(main, ["optimize", "--config", str(path)])
+            for path in (empty, spelled)]
+    assert [out.exit_code for out in outs] == [0, 0]
+    assert outs[0].output == outs[1].output
+    assert json.loads(outs[0].output)["feasible"]
+
+
+def test_optimize_list_config_exit_2(runner, tmp_path):
+    cfg = tmp_path / "list.yaml"
+    cfg.write_text("- m_total: 100\n- q: [0.3]\n")
+    out = runner.invoke(main, ["optimize", "--config", str(cfg)])
+    assert out.exit_code == 2
+    assert isinstance(out.exception, SystemExit)
+    assert "must be a flat key-value document" in out.output
 
 
 def test_estimate_q(runner, workspace):
@@ -693,8 +774,10 @@ def test_file_contract(name, damage, data):
                 graph = ProbabilityGraph.from_bytes(bytes(blob))
             except GraphDecodeError:
                 pass
-            else:
-                assert graph.to_bytes() == blob
+            else:  # written anew: a loaded graph's to_bytes echoes its input
+                assert ProbabilityGraph(
+                    graph.quadruples, graph.n_samples, graph.entities,
+                    graph.relations).to_bytes() == blob
 
         for args in (["build-graph", "--corpus", "corpus.jsonl",
                       "--out", "out.spgr"],

@@ -236,14 +236,15 @@ class TestRound1Verdict:
         assert _verdicts(g) == {}
 
 
-def _spgr(entities, relations, pairs, n_samples=2):
+def _spgr(entities, relations, pairs, n_samples=2, trailing=b""):
     """A `.spgr` file holding the tables and (head, tail, [(relation,
-    samples), ...]) pairs exactly as given, in order, with a valid digest."""
+    samples), ...]) pairs exactly as given, in order, then `trailing`, with
+    a valid digest.  A label given as bytes is written as is."""
     body = bytearray()
     for table in (entities, relations):
         body += struct.pack("<I", len(table))
         for label in table:
-            raw = label.encode("utf-8")
+            raw = label if isinstance(label, bytes) else label.encode("utf-8")
             body += struct.pack("<I", len(raw)) + raw
     for head, tail, rels in pairs:
         body += struct.pack("<III", head, tail, len(rels))
@@ -251,6 +252,7 @@ def _spgr(entities, relations, pairs, n_samples=2):
             deltas = [b - a for a, b in zip((0,) + samples, samples)]
             body += struct.pack("<II%dI" % len(samples), rid, len(samples),
                                 *deltas)
+    body += trailing
     counts = struct.pack("<HII", probgraph.FORMAT_VERSION, n_samples,
                          len(pairs))
     return (probgraph.FORMAT_MAGIC + counts
@@ -297,21 +299,42 @@ class TestSerialization:
 
     def test_to_bytes_hashes_once_and_seeds_hash(self, rng, monkeypatch):
         corpus = random_corpus(rng, n_samples=6)
-        hashed_first = build(corpus)
-        hashed_first.content_hash
-        expected = hashed_first.to_bytes()
-        digests = []
+        expected = build(corpus).to_bytes()
+        bodies, digests = [], []
+        body_bytes = ProbabilityGraph._body_bytes
         sha256 = probgraph.hashlib.sha256
+
+        def counting_body(graph):
+            bodies.append(graph)
+            return body_bytes(graph)
 
         def counting(data=b""):
             digests.append(len(data))
             return sha256(data)
 
+        monkeypatch.setattr(ProbabilityGraph, "_body_bytes", counting_body)
         monkeypatch.setattr(probgraph.hashlib, "sha256", counting)
-        g = build(corpus)
-        assert g.to_bytes() == expected
-        assert g.content_hash == expected[14:46]
-        assert len(digests) == 1
+        # The benchmark's set-up asks for the hash first, then the file.
+        for hash_first in (True, False):
+            bodies.clear()
+            digests.clear()
+            g = build(corpus)
+            if hash_first:
+                assert g.content_hash == expected[14:46]
+            assert g.to_bytes() == expected
+            assert g.to_bytes() is g.to_bytes()
+            assert g.content_hash == expected[14:46]
+            assert (len(bodies), len(digests)) == (1, 1)
+
+        # A read graph keeps the bytes it checked: one digest, no writing.
+        digests.clear()
+        loaded = ProbabilityGraph.from_bytes(expected)
+        assert loaded.to_bytes() is expected
+        assert loaded.content_hash == expected[14:46]
+        copied = ProbabilityGraph.from_bytes(bytearray(expected))
+        assert type(copied.to_bytes()) is bytes
+        assert copied.to_bytes() == expected
+        assert (len(bodies), len(digests)) == (1, 2)
 
     def test_relation_without_sample_rejected(self):
         corpus = corpus_from_samples([[("a", "r", "b")]])
@@ -339,6 +362,12 @@ class TestSerialization:
             ["a", "b"], ["r", "s"],
             [(0, 1, [(0, (1,)), (1, (2,))]), (1, 0, [(1, (1,))])])
 
+    def test_trailing_bytes_rejected(self):
+        data = _spgr(["a", "b"], ["r"], [(0, 1, [(0, (1,))])],
+                     trailing=b"\x00")
+        with pytest.raises(GraphDecodeError, match="trailing bytes"):
+            ProbabilityGraph.from_bytes(data)
+
     @pytest.mark.parametrize("entities, relations, pairs, message", [
         (["a", "b"], ["r"], [(1, 0, [(0, (1,))]), (0, 1, [(0, (2,))])],
          "pairs must strictly increase"),
@@ -355,10 +384,12 @@ class TestSerialization:
         (["a", ""], ["r"], [(0, 1, [(0, (1,))])], "labels must be"),
         (["a", "b"], [" r"], [(0, 1, [(0, (1,))])], "labels must be"),
         (["a", "b", "a"], ["r"], [(0, 1, [(0, (1,))])], "labels must be"),
+        (["a", b"\xff"], ["r"], [(0, 1, [(0, (1,))])],
+         "invalid label encoding"),
     ], ids=["pairs-unordered", "pair-repeated", "relations-unordered",
             "relation-repeated", "tail-beyond-table", "head-beyond-table",
             "relation-beyond-table", "pair-empty", "label-empty",
-            "label-padded", "label-repeated"])
+            "label-padded", "label-repeated", "label-not-utf8"])
     def test_non_canonical_rejected(self, entities, relations, pairs,
                                     message):
         with pytest.raises(GraphDecodeError, match=message):
@@ -393,7 +424,10 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak < 64 * 1024
         assert g.pair(0, 1).support(0) == (3, 10**6, n)
-        assert g.to_bytes() == data
+        # Written anew from the parsed structures: a loaded graph keeps the
+        # bytes it read, so its own `to_bytes` would only echo them.
+        assert ProbabilityGraph(g.quadruples, g.n_samples, g.entities,
+                                g.relations).to_bytes() == data
 
     def test_file_roundtrip(self, tmp_path, rng):
         corpus = random_corpus(rng, n_samples=4)

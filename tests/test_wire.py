@@ -527,6 +527,65 @@ def test_widths_follow_the_largest_id_of_any_section():
         assert encode_message(decode_message(data)) == data
 
 
+# -- counts of 128 and more: two LEB128 bytes ---------------------------------
+
+_H = bytes(range(32))
+MULTI_BYTE = [
+    CompressedMessage(_H, [(i, i % 3) for i in range(130)], [], []),
+    CompressedMessage(_H, [], [Triple(i, i % 5, 200 - i)
+                               for i in range(130)], []),
+    CompressedMessage(_H, [(0, 0)], [], [OmissionRecord(i, (0,))
+                                         for i in range(130)]),
+    CompressedMessage(_H, [(0, 0)], [], [OmissionRecord(i, (0,) * (i & 1))
+                                         for i in range(130)]),
+    CompressedMessage(_H, [(i, 0) for i in range(129)], [],
+                      [OmissionRecord(7, tuple(range(129)))]),
+]
+MULTI_BYTE_IDS = ["130-known", "130-escaped", "run-of-130", "130-runs",
+                  "round-130"]
+
+
+@pytest.mark.parametrize("msg", MULTI_BYTE, ids=MULTI_BYTE_IDS)
+def test_multi_byte_counts_match_v3_oracle(msg):
+    n_runs = len(list(groupby(rec.round for rec in msg.omissions)))
+    one_byte_header = (wire.FIXED_HEADER + 3 + 2 * n_runs
+                       + (4 if msg.escaped else 2))
+    assert message_size(msg).header > one_byte_header
+    assert_encodes_as_oracle(msg)
+
+
+# -- guards no encoder output reaches ------------------------------------------
+
+def test_later_first_run_without_a_full_triple_rejected_at_once(monkeypatch):
+    # One record of round 2**40 and no full triple: w_c is 0, so the body
+    # is one byte however many conditions the round claims.  It is refused
+    # before any section, let alone a condition column, is built.
+    forged = _forge([0, 0, 1, 2**40, 1], [1, 0], b"\x00")
+
+    def untouched(*args):
+        raise AssertionError("the decoder reached the body")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(wire, "_sections", untouched)
+        patch.setattr(wire, "_unpack", untouched)
+        with pytest.raises(MessageDecodeError,
+                           match="^forward condition reference$"):
+            decode_message(forged)
+    assert_decodes_as_oracle(forged)
+
+
+def test_condition_naming_its_own_record_rejected():
+    # A known triple, then a round-2 record at reconstruction index 1:
+    # w_c is 1 bit, and the record is its pair index 0 | condition << 1.
+    fine = _forge([1, 0, 1, 2, 1], [1, 0], b"\x00\x00")
+    assert decode_message(fine).omissions == [OmissionRecord(0, (0,))]
+    forged = _forge([1, 0, 1, 2, 1], [1, 0], b"\x00\x02")
+    with pytest.raises(MessageDecodeError,
+                       match="^forward condition reference$"):
+        decode_message(forged)
+    assert_decodes_as_oracle(forged)
+
+
 # -- the benchmark's workloads ---------------------------------------------------
 
 def _workloads():
