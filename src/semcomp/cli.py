@@ -156,8 +156,9 @@ def decompress_cmd(graph_path, input_path, out_path):
     with open(input_path, "rb") as fh:
         msg = wire.decode_message(fh.read())
     result = compressor.decompress(graph, msg)
-    corpus = kg.Corpus(samples=[kg.KnowledgeGraph(result.triples, sample_id=1)],
-                       entities=graph.entities, relations=graph.relations)
+    result.sample_id = 1
+    corpus = kg.Corpus(samples=[result], entities=graph.entities,
+                       relations=graph.relations)
     kg.dump_corpus(corpus, out_path)
     _echo("reconstructed %d triples" % len(result))
 

@@ -14,13 +14,9 @@ another relation's can never be the argmax, so it leaves the search, and
 each later cycle charges all such candidates together the plain scan's miss,
 comb(n, width) tuples per relation on their pairs.
 
-Which later rounds run is the `omit` mode's.  "all" is the paper's rule:
-every round up to `max_round`.  "wire", the default, runs round r only
-while a round-r record, w_p + (r-1)*w_c bits, can be smaller than the known
-triple it replaces, w_p + w_k bits; under wire v3 that is rare, since w_c
-grows with the message and w_k is a rank's width.  Either way the rounds
-end where fewer triples are omitted than a round's width, so the work is
-bounded by the message, not by `max_round`.
+Which later rounds run, and which message is sent, is the `omit` mode's:
+"all" is the paper's rule and "wire" the default.  `compress` states both
+rules.
 
 A message names each triple by its place in the shared graph: a full
 triple the graph holds is its pair's index in `ProbabilityGraph.pair_table`
@@ -241,18 +237,23 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
     in ascending lexicographic index order, with the first qualifying tuple
     recorded.
 
-    `omit="all"` is the paper's rule: each round up to `max_round` omits
-    what it can.  `omit="wire"` runs round r >= 2 only while its records
+    Which later rounds run: `omit="all"` is the paper's rule, every round up
+    to `max_round`.  `omit="wire"` runs round r >= 2 only while its records
     can be smaller than the known triples they replace, that is while
     (r - 1) * w_c < w_k over round 1's leftover codes
-    (`wire.condition_width` and `wire.rank_width`); the first round that fails, and every later
-    one, is skipped unsearched.  When a later round does run, the message
-    is the smallest by `wire.message_size` of those after each round run,
-    the earliest on a tie, so raising `max_round` never grows the encoded
-    message.  The report's stages are the rounds run, also when the
-    message is an earlier round's.  In either mode the rounds end where a
-    round has fewer omitted triples than its width: no condition tuple
-    exists from there on.  `report.stopped` says where and why.
+    (`wire.condition_width` and `wire.rank_width`); the first round that
+    fails, and every later one, is skipped unsearched.  Under wire v3 that
+    is rare, since w_c grows with the message and w_k is a rank's width.  In
+    either mode the rounds end where a round has fewer omitted triples than
+    its width: no condition tuple exists from there on, so the work is
+    bounded by the message, not by `max_round`.  `report.stopped` says where
+    and why.
+
+    Which message is sent: a cut is the message as it stands after round 1
+    and after each later round that omitted something.  "all" sends the last
+    cut; "wire" sends the cut smallest by `wire.message_size`, the earliest
+    on a tie, so raising `max_round` never grows the encoded message.  The
+    report's stages are the rounds run, also when an earlier cut is sent.
     """
     if max_round < 1:
         raise ValidationError("max_round must be >= 1")
@@ -260,7 +261,7 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
         raise ValidationError("omit must be one of %s, got %r"
                               % (", ".join(OMIT_MODES), omit))
 
-    triples = list(kg.triples)
+    n_triples = len(kg.triples)
     report = CompressionReport()
     table, index = g.pair_table, g.pair_index
 
@@ -269,12 +270,15 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
     # be reconstructed, so it is a permanent full triple, sent escaped.
     # Every other triple round 1 leaves is a candidate, kept as its (pair
     # index, rank) code in input order, the rank being its index in the
-    # pair's `Quadruple.triples`; later rounds only take codes out.
+    # pair's `Quadruple.triples`; later rounds only take codes out.  A
+    # round-1 record has no conditions, so it does not depend on how many
+    # full triples the later rounds leave.
     escaped: List[Triple] = []
     codes: List[Tuple[int, int]] = []
-    round1_pairs: List[int] = []  # pair indices of the round-1 omissions
+    records: List[OmissionRecord] = []
+    new = tuple.__new__  # skips the named tuple's Python-level __new__
     comparisons = 0
-    for t in triples:
+    for t in kg.triples:
         head, relation, tail = t
         i = index.get((head, tail))
         if i is None:
@@ -282,7 +286,7 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
             continue
         quad = table[i]
         if quad.verdict == relation:
-            round1_pairs.append(i)
+            records.append(new(OmissionRecord, (i, ())))
         else:
             try:
                 codes.append((i, quad.triples.index(t)))
@@ -291,25 +295,19 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
                 continue
         comparisons += len(quad.relations)
     report.comparison_count = comparisons
-    round1 = len(round1_pairs)
-    report.stages.append(StageStats(1, 0, len(triples), round1))
-    # A round-1 record has no conditions, so it does not depend on how many
-    # full triples the later rounds leave.  tuple.__new__ skips the named
-    # tuple's Python-level __new__.
-    new = tuple.__new__
-    records = [new(OmissionRecord, (i, ())) for i in round1_pairs]
+    n_omitted = len(records)
+    report.stages.append(StageStats(1, 0, n_triples, n_omitted))
 
     w_k = (rank_width([rank for _, rank in codes]) if omit == "wire"
            else None)
-    w_c = condition_width(len(triples))
+    w_c = condition_width(n_triples)
     hits = []  # (search state, conditions) per later omission, in order
-    best = None  # in "wire" mode, once round 2 runs: the smallest message
-    n_omitted = round1
+    cuts = [0]  # len(hits) after round 1 and each later round that omitted
     for round_no in range(2, max_round + 1):
         width = round_no - 1
         # Both checks fail for every later round once they fail: the
         # condition bits grow with the round, w_k and n_omitted stay.
-        left = len(triples) - n_omitted
+        left = n_triples - n_omitted
         if w_k is not None and width * w_c >= w_k:
             report.stopped = RoundStop(round_no, "wire", left, width * w_c,
                                        w_k)
@@ -326,11 +324,7 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
             # the cycle omitted, and the last cycle of a round omits
             # nothing, so the next round starts from the same list.
             cond = [table[i].bits[0][table[i].verdict]
-                    for i in round1_pairs] if live else []
-            if w_k is not None:
-                best = _message(g, codes, escaped, records, hits)
-                best_size = message_size(best).total
-        before = n_omitted
+                    for i, _ in records] if live else []
         cycle = old = 0
         while True:
             cycle += 1
@@ -346,7 +340,7 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
                     still.append(c)
             n_omitted += len(live) - len(still)
             report.stages.append(StageStats(
-                round_no, cycle, len(triples) - first, n_omitted - first))
+                round_no, cycle, n_triples - first, n_omitted - first))
             live = still
             if n_omitted == first:
                 break
@@ -355,15 +349,14 @@ def compress(g: ProbabilityGraph, kg: KnowledgeGraph,
             # the conditions appended here.
             old = first
             cond += [c[1] for c, _ in hits[first - n_omitted:]]
-        if best is not None and n_omitted > before:
-            msg = _message(g, codes, escaped, records, hits)
-            size = message_size(msg).total
-            if size < best_size:
-                best, best_size = msg, size
+        if len(hits) > cuts[-1]:
+            cuts.append(len(hits))
 
-    if best is None:
-        best = _message(g, codes, escaped, records, hits)
-    return best, report
+    cut = cuts[-1]
+    if omit == "wire" and len(cuts) > 1:
+        cut = min(cuts, key=lambda n: message_size(
+            _message(g, codes, escaped, records, hits[:n])).total)
+    return _message(g, codes, escaped, records, hits[:cut]), report
 
 
 def _unresolved(table, pair: int, rank: int = 0) -> str:

@@ -36,6 +36,11 @@ class Interner:
         existing = self._ids.get(label)
         if existing is not None:
             return existing
+        try:  # a graph file stores its labels as UTF-8
+            label.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError("label %r is not encodable as UTF-8"
+                                  % label) from None
         new_id = len(self._labels)
         self._labels.append(label)
         self._ids[label] = new_id

@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 from .errors import ValidationError
 from .resource import (LinkModel, OmissionProfile, _comp_seconds, _energies,
-                       comm_latency, payload_bits)
+                       payload_bits)
 
 
 @dataclass
@@ -57,7 +57,7 @@ def _solve_range(link: LinkModel, profile: OmissionProfile, m: int,
         raise ValidationError("m must be >= 1")
     e_hi = min(e_hi, m, math.floor(profile.total_omissible))
 
-    best = None  # ((e_total, e, p), t2, e1, e2) of the best E so far
+    best = None  # ((e_total, e, p), t1, t2, e1, e2) of the best E so far
     trace = [] if keep_trace else None
     for e in range(0, e_hi + 1):
         load = profile.load(e)  # read once per E, like the payload
@@ -69,18 +69,18 @@ def _solve_range(link: LinkModel, profile: OmissionProfile, m: int,
         p = power_for_latency(link, bits, t_remaining)
         if p > link.p_max_w:
             continue
-        e1, e2 = _energies(link, bits, load, p)
+        t1, e1, e2 = _energies(link, bits, load, p)
         total = e1 + e2
         if keep_trace:
             trace.append((e, p, total))
         key = (total, e, p)
         if best is None or key < best[0]:
-            best = (key, t2, e1, e2)
+            best = (key, t1, t2, e1, e2)
     if best is None:
         return _infeasible(trace)
-    (_, e, p), t2, e1, e2 = best
-    return AllocationResult(p_opt=p, e_opt=e, t1=comm_latency(link, m, e, p),
-                            t2=t2, e1=e1, e2=e2, feasible=True, trace=trace)
+    (_, e, p), t1, t2, e1, e2 = best
+    return AllocationResult(p_opt=p, e_opt=e, t1=t1, t2=t2, e1=e1, e2=e2,
+                            feasible=True, trace=trace)
 
 
 def solve(link: LinkModel, profile: OmissionProfile, m: int,
@@ -101,8 +101,6 @@ def solve_traditional(link: LinkModel, m: int) -> AllocationResult:
     """Send everything (E = 0) in exactly the latency budget, power uncapped."""
     if m < 1:
         raise ValidationError("m must be >= 1")
-    if link.latency_budget_s <= 0:
-        raise ValidationError("latency budget must be positive")
     p = power_for_latency(link, payload_bits(link, m, 0),
                           link.latency_budget_s)
     t1 = link.latency_budget_s

@@ -261,16 +261,16 @@ def _comp_seconds(link: LinkModel, load: float) -> float:
 def energies(link: LinkModel, profile: OmissionProfile,
              m: float, e: float, p: float):
     """(communication energy, computation energy) in joules."""
-    return _energies(link, payload_bits(link, m, e), profile.load(e), p)
+    return _energies(link, payload_bits(link, m, e), profile.load(e), p)[1:]
 
 
 def _energies(link: LinkModel, bits: float, load: float, p: float):
-    """`energies` for a payload of `bits` and a comparison `load`, which the
-    optimizer's scan has already read for its E."""
+    """(transmission time, e1, e2) for a payload of `bits` and a comparison
+    `load`, which the optimizer's scan has already read for its E."""
     t1 = _comm_seconds(link, bits, p)
     e1 = t1 * p if math.isfinite(t1) else math.inf
     e2 = link.tau1 * link.tau2 * load * link.compute_capacity ** 2
-    return e1, e2
+    return t1, e1, e2
 
 
 def estimate_q(g: ProbabilityGraph, corpus: Corpus,

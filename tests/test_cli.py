@@ -507,6 +507,30 @@ def test_validation_exit_code(runner, tmp_path):
     assert out.exit_code == 2
 
 
+def test_label_utf8_cannot_encode_exit_2(runner, workspace):
+    """A lone surrogate ("\\ud800" in JSON) is no UTF-8 text, so no graph
+    file can store it: every command that reads it exits 2, naming it."""
+    bad = workspace / "bad.jsonl"
+    bad.write_text('{"sample": 1, "triples": [["a\\ud800", "r1", "b"]]}\n')
+    out_path = workspace / "bad.spgr"
+    out = runner.invoke(main, ["build-graph", "--corpus", str(bad),
+                               "--out", str(out_path)])
+    assert out.exit_code == 2
+    assert out.output.splitlines() == [
+        "error: label 'a\\ud800' is not encodable as UTF-8"]
+    assert not out_path.exists()
+    graph = workspace / "graph.spgr"
+    runner.invoke(main, ["build-graph", "--corpus",
+                         str(workspace / "corpus.jsonl"), "--out", str(graph)])
+    for args in (["compress", "--input", str(bad),
+                  "--out", str(workspace / "msg.scmp")],
+                 ["estimate-q", "--corpus", str(bad)]):
+        out = runner.invoke(main, args + ["--graph", str(graph)])
+        assert out.exit_code == 2
+        assert "'a\\ud800' is not encodable as UTF-8" in out.output
+    assert not (workspace / "msg.scmp").exists()
+
+
 def test_io_error_exit_code(runner, workspace, tmp_path):
     graph = workspace / "graph.spgr"
     runner.invoke(main, ["build-graph", "--corpus",

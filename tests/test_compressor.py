@@ -217,13 +217,26 @@ def test_paper_rule_at_huge_max_round_is_bounded():
     assert [rec.round for rec in msg.omissions] == [1, 2]
 
 
+def _assert_send_rule(g, message):
+    """By default, compress(g, message, R) sends the earliest smallest of
+    the messages compress sends at max_round r <= R, for R = 1..4, so the
+    encoded message never grows with R; each stays lossless."""
+    sent = []  # (encoded size, message) per max_round so far
+    for max_round in (1, 2, 3, 4):
+        msg = compress(g, message, max_round)[0]
+        data = encode_message(msg)
+        sent.append((len(data), msg))
+        assert msg == min(sent, key=lambda s: s[0])[1]
+        restored = decompress(g, decode_message(data))
+        assert restored.triple_set() == message.triple_set()
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_raising_max_round_never_grows_the_message(seed):
-    """By default, the encoded message never grows as max_round goes 1 -> 4,
-    and it stays lossless.  Messages are the samples and small draws of the
-    corpus's triples, where a later round can run (few triples, so narrow
-    condition indices, beside ranks of up to 3 bits)."""
+    """The send rule on the samples and small draws of a random corpus's
+    triples, where a later round can run (few triples, so narrow condition
+    indices, beside ranks of up to 3 bits)."""
     rng = random.Random(seed)
     corpus = random_corpus(rng, n_relations=rng.choice([4, 8]))
     g = build(corpus)
@@ -233,13 +246,58 @@ def test_raising_max_round_never_grows_the_message(seed):
                                                rng.randint(1, 4))))
         for _ in range(5)]
     for message in messages:
-        sizes = []
-        for max_round in (1, 2, 3, 4):
-            data = encode_message(compress(g, message, max_round)[0])
-            sizes.append(len(data))
-            restored = decompress(g, decode_message(data))
-            assert restored.triple_set() == message.triple_set()
-        assert sizes == sorted(sizes, reverse=True)
+        _assert_send_rule(g, message)
+
+
+def _round_3_corpus():
+    """Pairs (a, b) and (c, d) of 64 relations each, r0 their verdict;
+    returns the corpus and its last sample, the message (x u y), (z v w),
+    (a r63 b) and (c r63 d).  Given (x u y) alone, r63 ties r1 on each
+    pair, and given (z v w) alone it ties r2; given both it is the argmax.
+    So round 1 omits (x u y) and (z v w), round 2 nothing, and round 3
+    both r63 triples, in records of w_p + 2 * w_c = w_p + 4 bits against
+    a known triple's w_p + w_k = w_p + 6 bits."""
+    pairs = [("a", "b"), ("c", "d")]
+    samples = [[(h, "r0", t) for h, t in pairs]] * 2
+    samples += [[(h, "r%d" % j, t) for h, t in pairs] for j in range(3, 63)]
+    samples.append([(h, "r1", t) for h, t in pairs] + [("x", "u", "y")])
+    samples.append([(h, "r2", t) for h, t in pairs] + [("z", "v", "w")])
+    samples.append([("x", "u", "y"), ("z", "v", "w")]
+                   + [(h, "r63", t) for h, t in pairs])
+    corpus = corpus_from_samples(samples)
+    return corpus, corpus.sample(len(samples))
+
+
+@pytest.mark.parametrize("make", [lambda: wide_pairs_corpus(7),
+                                  lambda: wide_pairs_corpus(15),
+                                  _round_3_corpus],
+                         ids=["wide_pairs_7", "wide_pairs_15", "round_3"])
+def test_send_rule_where_a_later_round_omits(make):
+    # Random corpora almost never send a later-round record; on these a
+    # later round omits under the wire rule, and the rule picks between
+    # its message and an earlier one.
+    corpus, message = make()
+    g = build(corpus)
+    _, report = compress(g, message, max_round=4)
+    assert any(s.round > 1 and s.omitted for s in report.stages)
+    _assert_send_rule(g, message)
+
+
+def test_round_3_message_is_not_sent_when_larger():
+    # Round 3 runs under the wire rule, since 2 * w_c = 4 < w_k = 6, and
+    # omits both r63 triples, but its records need a second run's header:
+    # the 64-byte round-1 message is sent over the 66-byte round-3 one.
+    corpus, message = _round_3_corpus()
+    g = build(corpus)
+    round1 = compress(g, message, max_round=1)[0]
+    paper = compress(g, message, max_round=3, omit="all")[0]
+    assert [rec.round for rec in paper.omissions] == [1, 1, 3, 3]
+    assert [message_size(m).total for m in (round1, paper)] == [64, 66]
+    msg, report = compress(g, message, max_round=3)
+    assert msg == round1
+    assert [(s.round, s.cycle, s.omitted) for s in report.stages] == [
+        (1, 0, 2), (2, 1, 0), (3, 1, 2), (3, 2, 0)]
+    assert decompress(g, paper).triple_set() == message.triple_set()
 
 
 @pytest.mark.parametrize("name", ["skewed", "tie_heavy", "plan"])

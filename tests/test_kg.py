@@ -31,6 +31,17 @@ class TestInterner:
         with pytest.raises(ValidationError):
             Interner().intern("   ")
 
+    def test_label_utf8_cannot_encode_rejected(self):
+        # A lone surrogate, as JSON's "\ud800" escape reads: a graph file
+        # could not store it, so it is refused before it gets an id.
+        table = Interner(["a"])
+        with pytest.raises(ValidationError, match=r"label 'b\\ud800'"):
+            table.intern("b\ud800")
+        assert table.labels() == ["a"]
+        with pytest.raises(ValidationError, match="UTF-8"):
+            load_corpus_lines(['{"sample": 1, "triples": '
+                               '[["a", "r\\udfff", "b"]]}'])
+
     def test_whitespace_trimmed_case_sensitive(self):
         table = Interner()
         assert table.intern(" banana ") == table.intern("banana")
