@@ -332,8 +332,11 @@ class ProbabilityGraph:
         return graph
 
     def save(self, path):
+        """Write the `.spgr` file.  Its bytes are produced before `path` is
+        opened, so an error while producing them leaves no file behind."""
+        data = self.to_bytes()
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            fh.write(data)
 
     @classmethod
     def load(cls, path) -> "ProbabilityGraph":

@@ -277,53 +277,47 @@ def estimate_q(g: ProbabilityGraph, corpus: Corpus,
                max_round: int = DEFAULT_MAX_ROUND) -> OmissionProfile:
     """Measure per-stage omission ratios over the corpus.
 
-    Stages are aligned across samples by (round, cycle) position;
-    ratios are pooled counts (total omitted / total candidates entering the
-    stage).  Stages that omit nothing overall are dropped, so the profile
+    Stages are aligned across samples by (round, cycle) position; a ratio
+    is pooled counts, total omitted over total candidates entering the
+    stage.  Stages that omit nothing overall are dropped, so the profile
     only covers productive stages.  M is the mean triple count per sample.
 
-    At max_round 1 a triple is omitted exactly when its pair is in the graph
-    and its relation is the pair's `Quadruple.verdict`, as in `compress`, so
-    the distinct triples that match are counted with their multiplicity.
-    Later rounds condition on the rest of the sample, so each is compressed
-    under the paper's rule, `omit="all"`.
+    Round 1 is counted over distinct triples at every depth: a triple is
+    omitted exactly when its pair is in the graph and its relation is the
+    pair's `Quadruple.verdict`, as in `compress`, so each match counts with
+    its multiplicity.  Later rounds condition on the rest of the sample, so
+    their stages come from `compress` under the paper's rule, `omit="all"`.
+    A later round's first cycle takes every triple the earlier stages left,
+    M - sum(E_k) in the paper's recursion: a sample whose rounds ended for
+    want of a condition tuple enters it with those same triples.
     """
-    if corpus.n_samples == 0 or corpus.n_triples() == 0:
+    n_triples = corpus.n_triples()
+    if n_triples == 0:
         raise ValidationError("corpus yields no triples")
+    if max_round < 1:
+        raise ValidationError("max_round must be >= 1")
 
-    pooled = {}  # (round, cycle) -> [candidates, omitted]
-    if max_round == 1:
-        counts = Counter(chain.from_iterable(kg.triples
-                                             for kg in corpus.samples))
-        omitted = 0
-        for t, count in counts.items():
-            quad = g.quadruples.get((t.head, t.tail))
-            if quad is not None and quad.verdict == t.relation:
-                omitted += count
-        pooled[(1, 0)] = [corpus.n_triples(), omitted]
-    else:
-        # The paper's rule at every round.  A sample whose later rounds end
-        # for want of a condition tuple runs no stage from that round on,
-        # but its unomitted triples still enter each such round's first
-        # cycle: `idle` adds them there.
-        idle = Counter()  # first round not run -> triples left
-        for kg in corpus.samples:
-            _, report = compress(g, kg, max_round=max_round, omit="all")
-            for stage in report.stages:
-                acc = pooled.setdefault((stage.round, stage.cycle), [0, 0])
-                acc[0] += stage.candidates
-                acc[1] += stage.omitted
-            if report.stopped is not None:
-                idle[report.stopped.round] += report.stopped.candidates
-        for (round_no, cycle), acc in pooled.items():
-            if cycle == 1:
-                acc[0] += sum(n for r, n in idle.items() if r <= round_no)
+    counts = Counter(chain.from_iterable(kg.triples for kg in corpus.samples))
+    omitted = 0
+    for t, count in counts.items():
+        quad = g.quadruples.get((t.head, t.tail))
+        if quad is not None and quad.verdict == t.relation:
+            omitted += count
+    pooled = {(1, 0): [n_triples, omitted]}  # (round, cycle) -> counts
+    for kg in corpus.samples if max_round > 1 else ():  # later rounds only
+        _, report = compress(g, kg, max_round=max_round, omit="all")
+        for stage in report.stages[1:]:
+            acc = pooled.setdefault((stage.round, stage.cycle), [0, 0])
+            acc[0] += stage.candidates
+            acc[1] += stage.omitted
 
     q = []
-    for key in sorted(pooled):
-        candidates, omitted = pooled[key]
-        if candidates == 0 or omitted == 0:
-            continue
-        q.append(Fraction(omitted, candidates))
+    left = n_triples
+    for (_, cycle), (candidates, omitted) in sorted(pooled.items()):
+        if cycle == 1:
+            candidates = left
+        left -= omitted
+        if omitted:
+            q.append(Fraction(omitted, candidates))
 
-    return OmissionProfile(Fraction(corpus.n_triples(), corpus.n_samples), q)
+    return OmissionProfile(Fraction(n_triples, corpus.n_samples), q)

@@ -17,13 +17,14 @@ from semcomp.kg import Triple, load_corpus_lines
 settings.register_profile("ci", print_blob=True)
 
 
-def corpus_from_samples(samples):
-    """samples: list of lists of (head, relation, tail) label triples."""
+def corpus_from_samples(samples, tables=None):
+    """samples: list of lists of (head, relation, tail) label triples,
+    interned into the tables of `tables` (a graph, say) when it is given."""
     lines = []
     for i, triples in enumerate(samples, start=1):
         lines.append(json.dumps(
             {"sample": i, "triples": [list(t) for t in triples]}))
-    return load_corpus_lines(lines)
+    return load_corpus_lines(lines, tables)
 
 
 def random_corpus(rng: random.Random, n_samples=None, n_entities=6,

@@ -127,6 +127,9 @@ class TestLoadCorpus:
         assert corpus.n_triples() == 3
         t = corpus.sample(2).triples[0]
         assert corpus.relations.label(t.relation) == "s"
+        for sample_id in (0, 3):
+            with pytest.raises(ValidationError, match="out of range"):
+                corpus.sample(sample_id)
 
     def test_mixed_formats_rejected(self):
         with pytest.raises(ParseError, match="mixed"):
@@ -245,6 +248,7 @@ _MALFORMED = [
     [json.dumps({"sample": 1, "triples": [["a", "r", 5]]})],
     [json.dumps({"sample": 1, "triples": [["a", "r"]]})],
     [json.dumps({"sample": 0, "triples": []})],
+    [json.dumps({"sample": 1, "triples": "abc"})],
     ["1\ta\tr"],
     ["x\ta\tr\tb"],
     # mixed formats

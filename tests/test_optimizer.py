@@ -131,6 +131,8 @@ class TestSolve:
     def test_invalid_m(self):
         with pytest.raises(ValidationError):
             solve(LinkModel(), OmissionProfile(10, [0.3]), 0)
+        with pytest.raises(ValidationError):
+            solve_traditional(LinkModel(), 0)
 
 
 class TestSimplified:

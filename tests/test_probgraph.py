@@ -436,6 +436,18 @@ class TestSerialization:
         g.save(path)
         assert ProbabilityGraph.load(path).content_hash == g.content_hash
 
+    def test_save_writes_no_file_when_the_bytes_fail(self, tmp_path, rng,
+                                                     monkeypatch):
+        def failing_body(graph):
+            raise RuntimeError("body failed")
+
+        g = build(random_corpus(rng, n_samples=4))
+        monkeypatch.setattr(ProbabilityGraph, "_body_bytes", failing_body)
+        path = tmp_path / "graph.spgr"
+        with pytest.raises(RuntimeError, match="body failed"):
+            g.save(path)
+        assert not path.exists()
+
 
 class TestPairTable:
     def test_pairs_in_file_order_on_both_ends(self, rng):

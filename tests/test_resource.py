@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from semcomp.compressor import compress
 from semcomp.errors import ValidationError
 from semcomp.probgraph import build
 from semcomp.resource import (LinkModel, OmissionProfile, capacity,
@@ -282,6 +283,26 @@ class TestEstimateQ:
         # round 2 cycle 1: sample 2's (a, r2, b) of 1 remaining -> q2 = 1
         assert prof.q == [0.75, 1.0]
         assert prof.m_total == pytest.approx(4 / 3)
+
+        # A message that omits nothing in round 1 runs no round 2, yet its
+        # triples still enter round 2's first cycle.
+        messages = corpus_from_samples([
+            [("a", "r2", "b"), ("x", "u", "y")],
+            [("a", "r2", "b")],
+        ], g)
+        _, report = compress(g, messages.sample(2), max_round=2, omit="all")
+        assert report.stopped.reason == "no condition tuple"
+        # round 1: (x, u, y) of 3 triples -> q1 = 1/3
+        # round 2 cycle 1: the first message's (a, r2, b), given (x, u, y),
+        # of the 2 triples both messages have left, the second's included
+        # though it runs no round 2 -> q2 = 1/2
+        assert estimate_q(g, messages, max_round=2)._q == [Fraction(1, 3),
+                                                           Fraction(1, 2)]
+
+    def test_max_round_below_one(self):
+        corpus = corpus_from_samples([[("a", "r", "b")]])
+        with pytest.raises(ValidationError, match="max_round"):
+            estimate_q(build(corpus), corpus, max_round=0)
 
     def test_consistency_with_reports(self, rng):
         corpus = random_corpus(rng, n_samples=8)

@@ -342,13 +342,18 @@ def _leb128(n):
             return bytes(out)
 
 
-def _forge(counts, widths, body, version=3):
-    """A message with these header counts and widths, this body, and a
-    digest that matches, as a writer of the format would produce it."""
-    rest = b"".join(map(_leb128, counts)) + bytes(widths) + body
+def _signed(rest, version=3):
+    """A message whose header counts, widths and body are the bytes `rest`,
+    under a digest that matches, as a writer of the format would produce
+    it."""
     head = b"SCMP" + version.to_bytes(2, "little") + b"\xab" * 32
-    digest = hashlib.blake2b(head + rest, digest_size=16).digest()
-    return head + digest + rest
+    return head + hashlib.blake2b(head + rest, digest_size=16).digest() + rest
+
+
+def _forge(counts, widths, body, version=3):
+    """A message with these header counts and widths and this body."""
+    return _signed(b"".join(map(_leb128, counts)) + bytes(widths) + body,
+                   version)
 
 
 def _parts(msg):
@@ -415,9 +420,7 @@ def test_redigested_mutations_decode_canonically(pin, data):
     rest[at] = data.draw(st.integers(0, 255))
     rest = rest[:data.draw(st.integers(0, len(rest)))]
     rest += data.draw(st.binary(max_size=4))
-    head = b"SCMP\x03\x00" + b"\xab" * 32
-    forged = (head + hashlib.blake2b(head + rest, digest_size=16).digest()
-              + bytes(rest))
+    forged = _signed(bytes(rest))
     assert_decodes_as_oracle(forged)
     try:
         decoded = decode_message(forged)
@@ -433,6 +436,20 @@ def test_widths_beyond_32_bits_rejected():
                 [3, 1, 2, 33], [3, 1, 0, 2], [3, 1, 2, 0], [255] * 4):
         with pytest.raises(MessageDecodeError, match="width"):
             decode_message(_forge(counts, bad, body))
+
+
+def test_count_with_a_redundant_last_byte_rejected():
+    # Each count of 1 after the first in turn, written 81 00 in place of 01.
+    counts, widths, body = _parts(PINNED[0][0])
+    assert counts == [2, 1, 1, 1, 1]
+    for at in range(1, len(counts)):
+        coded = [_leb128(n) for n in counts]
+        coded[at] = b"\x81\x00"
+        forged = _signed(b"".join(coded) + bytes(widths) + body)
+        with pytest.raises(MessageDecodeError,
+                           match="count not minimally encoded"):
+            decode_message(forged)
+        assert_decodes_as_oracle(forged)
 
 
 def test_escape_widths_without_escapes_rejected():
