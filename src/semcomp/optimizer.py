@@ -6,6 +6,9 @@ energy t1 * p is strictly increasing in p, so the inner optimum sits exactly
 on the latency boundary t1(p) = T - t2(E) (or is infeasible when even p_max
 cannot meet it).  The boundary power has a closed form from the capacity
 equation, which satisfies the inner-optimum contract exactly.
+
+The `simplified` baseline is the same scan over the profile of the first
+stage alone, whose load is inf beyond the exact first cap E_1.
 """
 
 import math
@@ -52,10 +55,10 @@ def power_for_latency(link: LinkModel, bits: float, t: float) -> float:
 
 
 def _solve_range(link: LinkModel, profile: OmissionProfile, m: int,
-                 e_hi: int, keep_trace: bool) -> AllocationResult:
+                 keep_trace: bool) -> AllocationResult:
     if m < 1:
         raise ValidationError("m must be >= 1")
-    e_hi = min(e_hi, m, math.floor(profile.total_omissible))
+    e_hi = min(m, math.floor(profile.total_omissible))
 
     best = None  # ((e_total, e, p), t1, t2, e1, e2) of the best E so far
     trace = [] if keep_trace else None
@@ -86,15 +89,14 @@ def _solve_range(link: LinkModel, profile: OmissionProfile, m: int,
 def solve(link: LinkModel, profile: OmissionProfile, m: int,
           keep_trace: bool = False) -> AllocationResult:
     """Minimize e1 + e2 over all reachable (p, E)."""
-    return _solve_range(link, profile, m, m, keep_trace)
+    return _solve_range(link, profile, m, keep_trace)
 
 
 def solve_simplified(link: LinkModel, profile: OmissionProfile,
                      m: int) -> AllocationResult:
-    """Same problem with E restricted to the first-stage cap."""
-    e_caps = profile.e_caps
-    e_hi = math.floor(e_caps[0]) if e_caps else 0
-    return _solve_range(link, profile, m, e_hi, False)
+    """Same scan over the first stage's profile: E at most the exact E_1."""
+    first = OmissionProfile(profile._m, profile._q[:1])
+    return _solve_range(link, first, m, False)
 
 
 def solve_traditional(link: LinkModel, m: int) -> AllocationResult:

@@ -150,7 +150,9 @@ class OmissionProfile:
     Stage caps follow the recursion E_1 = M q_1, E_n = (M - sum E_k) q_n.
     The load is linear with slope 1/q_1 up to E_1, then slope E_{n-1}/q_n on
     each later stage interval; it is continuous and nondecreasing by
-    construction.  Computed in exact rational arithmetic internally.
+    construction.  Each stage is built in one walk over q, in exact rational
+    arithmetic.  The load is inf beyond the last breakpoint, so
+    `OmissionProfile(m, q[:1])` is the simplified baseline's domain.
     """
 
     def __init__(self, m_total: float, q: Sequence[float]):
@@ -162,33 +164,25 @@ class OmissionProfile:
         self._m = _to_fraction(m_total)
         self._q = [_to_fraction(v) for v in q]
 
+        # Stage n: cap (M - previous break) q_n, and its segment as the
+        # integer line load(e) = (num + e*step) / den, anchored on the load
+        # value at the previous breakpoint.
         self._caps: List[Fraction] = []
-        remaining = self._m
-        for qn in self._q:
-            cap = remaining * qn
-            self._caps.append(cap)
-            remaining -= cap
-
         self._breaks: List[Fraction] = []
-        acc = Fraction(0)
-        for cap in self._caps:
-            acc += cap
-            self._breaks.append(acc)
-
-        # Segment n (breaks[n-1] < e <= breaks[n]) as an integer line
-        # load(e) = (num + e*step) / den, anchored on the load value at the
-        # previous breakpoint.
         self._lines: List[Tuple[int, int, int]] = []
         value = prev_break = Fraction(0)
-        for n, brk in enumerate(self._breaks):
-            slope = 1 / self._q[0] if n == 0 else self._caps[n - 1] / self._q[n]
+        for qn in self._q:
+            cap = (self._m - prev_break) * qn
+            slope = (self._caps[-1] if self._caps else 1) / qn
             base = value - prev_break * slope
             den = math.lcm(base.denominator, slope.denominator)
+            self._caps.append(cap)
+            self._breaks.append(prev_break + cap)
             self._lines.append((base.numerator * (den // base.denominator),
                                 slope.numerator * (den // slope.denominator),
                                 den))
-            value += (brk - prev_break) * slope
-            prev_break = brk
+            value += cap * slope
+            prev_break += cap
         # Breakpoints times the lcm of their denominators: integers, so an
         # integer e is placed by integer comparisons (Fraction ones doubled
         # the cost of a load).

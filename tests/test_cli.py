@@ -1,3 +1,4 @@
+import csv
 import gc
 import hashlib
 import io
@@ -18,7 +19,8 @@ from semcomp import kg
 from semcomp.cli import main
 from semcomp.compressor import (CompressedMessage, OmissionRecord,
                                 decode_message, encode_message)
-from semcomp.errors import GraphDecodeError
+from semcomp.errors import (GraphDecodeError, MessageDecodeError,
+                             ParseError)
 from semcomp.experiments import CONFIG_KEYS, SWEEP_VARIABLES
 from semcomp.kg import Triple, load_corpus
 from semcomp.probgraph import ProbabilityGraph, Quadruple, build
@@ -329,6 +331,54 @@ def test_decompress_redigested_graph_exit_2(runner, workspace, damage, why):
     assert not (workspace / "out.jsonl").exists()
 
 
+def test_graph_with_bad_magic_exit_2(runner, workspace):
+    # The magic lies outside the file digest, so no rehash is needed.
+    graph = workspace / "graph.spgr"
+    _compress_report(runner, workspace)
+    data = graph.read_bytes()
+    assert data[:4] == b"SPGR"
+    graph.write_bytes(b"SPGX" + data[4:])
+    with pytest.raises(GraphDecodeError, match="^bad magic bytes$"):
+        ProbabilityGraph.from_bytes(graph.read_bytes())
+    for command, source in (("compress", "message.jsonl"),
+                            ("decompress", "msg.scmp")):
+        out = runner.invoke(main, [command, "--graph", str(graph),
+                                   "--input", str(workspace / source),
+                                   "--out", str(workspace / "out")])
+        assert out.exit_code == 2
+        assert out.output == "error: bad magic bytes\n"
+        assert not (workspace / "out").exists()
+
+
+# The workspace message encodes as one known triple (a r2 b), no escaped
+# one and one run: a round-1 record of x u y.  After the 54-byte fixed
+# header come the counts 1, 0, 1 and the run (round 1, count 1).
+RUN_TABLE = 57
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: data[:RUN_TABLE] + b"\x00\x01" + data[RUN_TABLE + 2:],
+    lambda data: data[:RUN_TABLE] + b"\x01\x00" + data[RUN_TABLE + 2:],
+    # two runs: a second (round 1, count 1) before the first
+    lambda data: data[:RUN_TABLE - 1] + b"\x02\x01\x01" + data[RUN_TABLE:],
+], ids=["zero-round", "zero-count", "two-runs-of-one-round"])
+def test_decompress_bad_run_table_exit_2(runner, workspace, damage):
+    graph, bad = workspace / "graph.spgr", workspace / "bad.scmp"
+    _compress_report(runner, workspace)
+    data = (workspace / "msg.scmp").read_bytes()
+    assert data[RUN_TABLE - 3:RUN_TABLE + 2] == bytes([1, 0, 1, 1, 1])
+    bad.write_bytes(_rehash("msg.scmp", damage(data)))
+    why = "runs must be non-empty and maximal, with rounds from 1"
+    with pytest.raises(MessageDecodeError, match="^%s$" % why):
+        decode_message(bad.read_bytes())
+    out = runner.invoke(main, ["decompress", "--graph", str(graph),
+                               "--input", str(bad),
+                               "--out", str(workspace / "out.jsonl")])
+    assert out.exit_code == 2
+    assert out.output == "error: %s\n" % why
+    assert not (workspace / "out.jsonl").exists()
+
+
 def test_compress_two_samples_exit_2(runner, workspace):
     graph, two = workspace / "graph.spgr", workspace / "two.jsonl"
     runner.invoke(main, ["build-graph", "--corpus",
@@ -499,6 +549,26 @@ def test_sweep(runner, workspace, tmp_path):
     assert lines[0].startswith("var,algo,")
 
 
+def test_sweep_simplified_stays_within_the_exact_first_cap(runner, tmp_path):
+    # E_1 = 8835 * 0.3651386530843237 is 3225.99999999999989, whose float
+    # is 3226.0: E = 3226 is a second-stage omission, which jccpg takes.
+    config = tmp_path / "link.yaml"
+    config.write_text("path_gain: 1.0e-8\ntau1: 100\ntau2: 1.0e-30\n"
+                      "latency_budget_ms: 1000\nm_total: 8835\n"
+                      "q: [0.3651386530843237, 0.5]\n")
+    csv_path = tmp_path / "sweep.csv"
+    out = runner.invoke(main, ["sweep", "--config", str(config),
+                               "--var", "m_total", "--grid", "8835",
+                               "--csv", str(csv_path)])
+    assert out.exit_code == 0, out.output
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        rows = {row["algo"]: row for row in csv.DictReader(fh)}
+    assert int(rows["jccpg"]["e_omit"]) == 3226
+    assert int(rows["simplified"]["e_omit"]) == 3225
+    assert (float(rows["jccpg"]["e_total_j"])
+            < float(rows["simplified"]["e_total_j"]))
+
+
 def test_validation_exit_code(runner, tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{not json\n")
@@ -612,6 +682,24 @@ def test_bad_sweep_exit_code(runner, tmp_path, extra, grid):
     assert out.exit_code == 2
     assert isinstance(out.exception, SystemExit)
     assert "wrote" not in out.output
+
+
+@pytest.mark.parametrize("missing", ["sample", "triples"])
+def test_corpus_object_missing_a_key_exit_2(runner, tmp_path, missing):
+    bad = tmp_path / "bad.jsonl"
+    lines = [dict(CORPUS_LINES[0]), dict(CORPUS_LINES[1])]
+    del lines[1][missing]
+    bad.write_text("".join(json.dumps(o) + "\n" for o in lines))
+    why = "expected object with 'sample' and 'triples'"
+    with pytest.raises(ParseError, match="line 2") as info:
+        load_corpus(bad)
+    assert why in str(info.value)
+    out = runner.invoke(main, ["build-graph", "--corpus", str(bad),
+                               "--out", str(tmp_path / "g.spgr")])
+    assert out.exit_code == 2
+    assert len(out.output.splitlines()) == 1
+    assert out.output.startswith("error: ") and why in out.output
+    assert not (tmp_path / "g.spgr").exists()
 
 
 def test_deeply_nested_corpus_exit_code(runner, tmp_path):

@@ -31,11 +31,9 @@ def oracle_best_power(link, m, e, t_budget, respect_cap=True):
     return brentq(excess, lo, hi, xtol=1e-30, rtol=1e-13, maxiter=500)
 
 
-def oracle_solve(link, profile, m, e_hi=None):
+def oracle_solve(link, profile, m):
     """Exhaustive E loop with the bisection inner oracle."""
-    if e_hi is None:
-        e_hi = m
-    e_hi = min(e_hi, m, math.floor(profile.total_omissible))
+    e_hi = min(m, math.floor(profile.total_omissible))
     best = None
     for e in range(e_hi + 1):
         t2 = comp_latency(link, profile, e)
@@ -128,6 +126,10 @@ class TestSolve:
         assert all(len(entry) == 3 for entry in result.trace)
         assert solve(link, OmissionProfile(100, [0.3]), 100).trace is None
 
+    def test_zero_latency_target_rejected(self):
+        with pytest.raises(ValidationError, match="latency target"):
+            power_for_latency(LinkModel(), 100, 0)
+
     def test_invalid_m(self):
         with pytest.raises(ValidationError):
             solve(LinkModel(), OmissionProfile(10, [0.3]), 0)
@@ -152,7 +154,21 @@ class TestSimplified:
             link, profile, m = random_instance(rng)
             restricted = solve_simplified(link, profile, m)
             if restricted.feasible:
-                assert restricted.e_opt <= profile.e_caps[0]
+                assert restricted.e_opt <= profile._caps[0]
+
+    def test_first_cap_just_under_an_integer(self):
+        # E_1 = 8835 * 0.3651386530843237 = 3225.99999999999989, whose float
+        # is 3226.0; E = 3226 is a second-stage omission.
+        link = LinkModel.from_config({"path_gain": 1.0e-8, "tau1": 100,
+                                      "tau2": 1.0e-30,
+                                      "latency_budget_ms": 1000})
+        profile = OmissionProfile(8835, [0.3651386530843237, 0.5])
+        assert profile._caps[0] < 3226 == profile.e_caps[0]
+        full = solve(link, profile, 8835)
+        restricted = solve_simplified(link, profile, 8835)
+        assert full.e_opt == 3226
+        assert restricted.feasible and restricted.e_opt == 3225
+        assert restricted.e_total > full.e_total
 
     def test_dominance_ordering(self, rng):
         for _ in range(60):

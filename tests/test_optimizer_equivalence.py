@@ -1,6 +1,8 @@
 """Golden equivalence: `_solve_range`, which prices each feasible E once
 through `energies` over an unmemoized `OmissionProfile.load`, against the
-per-E `comm_latency` scan over the memoized load (legacy_optimizer.py)."""
+per-E `comm_latency` scan over the memoized load (legacy_optimizer.py).  The
+simplified baseline, the scan over the first stage's profile, is held equal
+to the reference scan over the full profile cut at the exact first cap."""
 
 import math
 import random
@@ -31,7 +33,9 @@ PLANNER_CONFIG = {"path_gain": 1.0e-8, "tau1": 100, "tau2": 1.0e-30,
 
 
 def simplified_cap(profile):
-    caps = profile.e_caps
+    """The largest E the simplified baseline may take: the exact first cap,
+    floored."""
+    caps = profile._caps
     return math.floor(caps[0]) if caps else 0
 
 
@@ -59,12 +63,19 @@ def random_instance(rng, case):
     return link, OmissionProfile(m_total, q), m
 
 
+def legacy_scan(link, profile, m, keep_trace):
+    """`legacy.solve_range` over every E the profile reaches, in the
+    signature of `_solve_range`."""
+    return legacy.solve_range(link, profile, m, m, keep_trace)
+
+
 def assert_same_allocations(link, profile, m):
     assert (repr(solve(link, profile, m, keep_trace=True))
-            == repr(legacy.solve_range(link, profile, m, m, True)))
-    cap = simplified_cap(profile)
-    reference = legacy.solve_range(link, profile, m, cap, True)
-    assert repr(_solve_range(link, profile, m, cap, True)) == repr(reference)
+            == repr(legacy_scan(link, profile, m, True)))
+    first = OmissionProfile(profile._m, profile._q[:1])
+    reference = legacy.solve_range(link, profile, m, simplified_cap(profile),
+                                   True)
+    assert repr(_solve_range(link, first, m, True)) == repr(reference)
     reference.trace = None
     assert repr(solve_simplified(link, profile, m)) == repr(reference)
 
@@ -118,7 +129,7 @@ def sweep_grid(m_max, points):
 ])
 def test_cli_outputs_match_reference(tmp_path, monkeypatch, cfg, grid):
     got = _cli_outputs(tmp_path, cfg, grid)
-    monkeypatch.setattr(optimizer, "_solve_range", legacy.solve_range)
+    monkeypatch.setattr(optimizer, "_solve_range", legacy_scan)
     assert got == _cli_outputs(tmp_path, cfg, grid)
     assert got[0] == 0 and '"trace"' in got[1]
 
