@@ -271,19 +271,20 @@ def estimate_q(g: ProbabilityGraph, corpus: Corpus,
                max_round: int = DEFAULT_MAX_ROUND) -> OmissionProfile:
     """Measure per-stage omission ratios over the corpus.
 
-    Stages are aligned across samples by (round, cycle) position; a ratio
-    is pooled counts, total omitted over total candidates entering the
-    stage.  Stages that omit nothing overall are dropped, so the profile
-    only covers productive stages.  M is the mean triple count per sample.
+    Stages are aligned across samples by (round, cycle) position, and the
+    triples each omits are pooled.  Every stage n that omits something
+    gets one rule, the paper's recursion: q_n = omitted_n over the triples
+    the earlier stages left, n_triples - sum(omitted_k).  A sample that
+    does not reach a stage omits none of the triples it has left, so
+    `OmissionProfile`'s caps times the sample count are the pooled
+    omissions.  Stages that omit nothing overall are dropped.  M is the
+    mean triple count per sample.
 
     Round 1 is counted over distinct triples at every depth: a triple is
     omitted exactly when its pair is in the graph and its relation is the
     pair's `Quadruple.verdict`, as in `compress`, so each match counts with
     its multiplicity.  Later rounds condition on the rest of the sample, so
     their stages come from `compress` under the paper's rule, `omit="all"`.
-    A later round's first cycle takes every triple the earlier stages left,
-    M - sum(E_k) in the paper's recursion: a sample whose rounds ended for
-    want of a condition tuple enters it with those same triples.
     """
     n_triples = corpus.n_triples()
     if n_triples == 0:
@@ -292,26 +293,21 @@ def estimate_q(g: ProbabilityGraph, corpus: Corpus,
         raise ValidationError("max_round must be >= 1")
 
     counts = Counter(chain.from_iterable(kg.triples for kg in corpus.samples))
-    omitted = 0
+    pooled = Counter()  # (round, cycle) -> triples omitted there
     for t, count in counts.items():
         quad = g.quadruples.get((t.head, t.tail))
         if quad is not None and quad.verdict == t.relation:
-            omitted += count
-    pooled = {(1, 0): [n_triples, omitted]}  # (round, cycle) -> counts
+            pooled[1, 0] += count
     for kg in corpus.samples if max_round > 1 else ():  # later rounds only
         _, report = compress(g, kg, max_round=max_round, omit="all")
         for stage in report.stages[1:]:
-            acc = pooled.setdefault((stage.round, stage.cycle), [0, 0])
-            acc[0] += stage.candidates
-            acc[1] += stage.omitted
+            pooled[stage.round, stage.cycle] += stage.omitted
 
     q = []
     left = n_triples
-    for (_, cycle), (candidates, omitted) in sorted(pooled.items()):
-        if cycle == 1:
-            candidates = left
-        left -= omitted
+    for _, omitted in sorted(pooled.items()):
         if omitted:
-            q.append(Fraction(omitted, candidates))
+            q.append(Fraction(omitted, left))
+            left -= omitted
 
     return OmissionProfile(Fraction(n_triples, corpus.n_samples), q)

@@ -13,6 +13,8 @@ from semcomp.resource import (LinkModel, OmissionProfile, capacity,
                               payload_bits)
 
 from conftest import corpus_from_samples, random_corpus
+from test_planner_equivalence import (CORPORA, _calibration_messages,
+                                      pooled_omissions)
 
 
 def make_link(**kwargs):
@@ -298,6 +300,39 @@ class TestEstimateQ:
         # though it runs no round 2 -> q2 = 1/2
         assert estimate_q(g, messages, max_round=2)._q == [Fraction(1, 3),
                                                            Fraction(1, 2)]
+
+    def test_stage_takes_what_earlier_stages_left(self):
+        corpus = corpus_from_samples([
+            [("e0", "r1", "e0"), ("e1", "r0", "e1"), ("e1", "r1", "e0")],
+            [("e0", "r0", "e0"), ("e1", "r0", "e1")],
+            [("e1", "r0", "e0")],
+        ])
+        g = build(corpus)
+        prof = estimate_q(g, corpus, max_round=2)
+        # round 1: samples omit 1+1+0 of 6 triples -> q1 = 2/6
+        # round 2 cycle 1: the first sample omits 1 of its 2 left, the
+        # second 0 of 1, and the third, which runs no round 2, 0 of 1
+        # -> q2 = 1/4
+        # round 2 cycle 2: only the first sample runs it, omitting its last
+        # triple; the others omit none of the 3 triples left -> q3 = 1/3
+        assert prof._q == [Fraction(1, 3), Fraction(1, 4), Fraction(1, 3)]
+        assert prof._breaks[-1] == Fraction(4, 3)  # 4 omissions, 3 samples
+
+    @pytest.mark.parametrize("max_round", [1, 2, 3, 4])
+    def test_caps_are_the_measured_omissions(self, max_round):
+        rng = random.Random(53 + max_round)
+        for corpus in CORPORA:
+            g = build(corpus)
+            for sample_set in (corpus, _calibration_messages(rng, corpus)):
+                prof = estimate_q(g, sample_set, max_round=max_round)
+                omissions = pooled_omissions(
+                    compress(g, kg, max_round=max_round, omit="all")[1]
+                    for kg in sample_set.samples)
+                n = sample_set.n_samples
+                assert prof._m == Fraction(sample_set.n_triples(), n)
+                assert [cap * n for cap in prof._caps] == omissions
+                assert (prof._breaks[-1] * n if prof._breaks else 0) == sum(
+                    omissions)
 
     def test_max_round_below_one(self):
         corpus = corpus_from_samples([[("a", "r", "b")]])
