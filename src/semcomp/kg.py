@@ -239,7 +239,7 @@ def load_corpus_lines(lines, tables=None) -> Corpus:
 
 
 def load_corpus(path, tables=None) -> Corpus:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return load_corpus_lines(fh, tables)
         except UnicodeDecodeError as exc:

@@ -1,11 +1,11 @@
 """Joint transmit-power / omission-count energy minimization.
 
-The discrete omission count E is searched exhaustively; for each E the best
-transmit power follows from the structure of the problem: communication
-energy t1 * p is strictly increasing in p, so the inner optimum sits exactly
-on the latency boundary t1(p) = T - t2(E) (or is infeasible when even p_max
-cannot meet it).  The boundary power has a closed form from the capacity
-equation, which satisfies the inner-optimum contract exactly.
+E is scanned up from 0, and the scan ends at the first E whose computation
+time t2(E) leaves no transmission time: the load never falls as E grows and
+is inf past the profile's exact last breakpoint.  For each E the inner
+optimum sits on the latency boundary t1(p) = T - t2(E), as communication
+energy t1 * p is strictly increasing in p (infeasible when even p_max cannot
+meet it); the boundary power has a closed form from the capacity equation.
 
 The `simplified` baseline is the same scan over the profile of the first
 stage alone, whose load is inf beyond the exact first cap E_1.
@@ -58,16 +58,16 @@ def _solve_range(link: LinkModel, profile: OmissionProfile, m: int,
                  keep_trace: bool) -> AllocationResult:
     if m < 1:
         raise ValidationError("m must be >= 1")
-    e_hi = min(m, math.floor(profile.total_omissible))
 
     best = None  # ((e_total, e, p), t1, t2, e1, e2) of the best E so far
     trace = [] if keep_trace else None
-    for e in range(0, e_hi + 1):
+    for e in range(m + 1):
         load = profile.load(e)  # read once per E, like the payload
         t2 = _comp_seconds(link, load)
         t_remaining = link.latency_budget_s - t2
-        if not math.isfinite(t2) or t_remaining <= 0:
-            continue
+        # t2 never falls as E grows: no later E fits the budget either.
+        if t_remaining <= 0:
+            break
         bits = payload_bits(link, m, e)
         p = power_for_latency(link, bits, t_remaining)
         if p > link.p_max_w:

@@ -350,6 +350,43 @@ def test_graph_with_bad_magic_exit_2(runner, workspace):
         assert not (workspace / "out").exists()
 
 
+def test_decompress_against_another_graph_exit_2(runner, workspace):
+    _compress_report(runner, workspace)
+    other_corpus, other = workspace / "other.jsonl", workspace / "other.spgr"
+    other_corpus.write_text(json.dumps(CORPUS_LINES[0]) + "\n")
+    out = runner.invoke(main, ["build-graph", "--corpus", str(other_corpus),
+                               "--out", str(other)])
+    assert out.exit_code == 0, out.output
+    out = runner.invoke(main, ["decompress", "--graph", str(other),
+                               "--input", str(workspace / "msg.scmp"),
+                               "--out", str(workspace / "out.jsonl")])
+    assert out.exit_code == 2
+    assert out.output == ("error: message was compressed against different "
+                          "background knowledge\n")
+    assert not (workspace / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+def test_build_graph_reads_past_a_byte_order_mark(runner, tmp_path, fmt):
+    if fmt == "jsonl":
+        text = "".join(json.dumps(o) + "\n" for o in CORPUS_LINES)
+    else:
+        text = "".join("%d\t%s\t%s\t%s\n" % (o["sample"], *t)
+                       for o in CORPUS_LINES for t in o["triples"])
+    outputs = []
+    for name, data in (("plain", text.encode()),
+                       ("marked", b"\xef\xbb\xbf" + text.encode())):
+        corpus = tmp_path / (name + "." + fmt)
+        corpus.write_bytes(data)
+        out = runner.invoke(main, ["build-graph", "--corpus", str(corpus),
+                                   "--out", str(tmp_path / (name + ".spgr"))])
+        assert out.exit_code == 0, out.output
+        outputs.append(out.output)
+    assert outputs[0] == outputs[1] and "hash " in outputs[0]
+    assert ((tmp_path / "plain.spgr").read_bytes()
+            == (tmp_path / "marked.spgr").read_bytes())
+
+
 # The workspace message encodes as one known triple (a r2 b), no escaped
 # one and one run: a round-1 record of x u y.  After the 54-byte fixed
 # header come the counts 1, 0, 1 and the run (round 1, count 1).

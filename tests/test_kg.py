@@ -8,7 +8,7 @@ import pytest
 import legacy_loader
 from semcomp.errors import ParseError, SemcompError, ValidationError
 from semcomp.kg import (Interner, KnowledgeGraph, Triple, dump_corpus_lines,
-                        load_corpus_lines)
+                        load_corpus, load_corpus_lines)
 from semcomp.probgraph import ProbabilityGraph, build
 
 
@@ -151,6 +151,31 @@ class TestLoadCorpus:
         assert corpus.entities.label(t.head) == "banana"
         assert corpus.relations.label(t.relation) == "a kind of"
         assert corpus.entities.label(t.tail) == "fruit"
+
+    @pytest.mark.parametrize("lines", [
+        jsonl({"sample": 1, "triples": [["a", "r", "b"], ["c", "s", "d"]]},
+              {"sample": 2, "triples": [["a", "s", "b"]]}),
+        ["1\ta\tr\tb", "1\tc\ts\td", "2\ta\ts\tb"],
+    ], ids=["jsonl", "tsv"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, lines):
+        # A UTF-8 byte-order mark starts the file, not its first line, as
+        # the config reader (PyYAML) already treats it.
+        text = "\n".join(lines) + "\n"
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        want, got = load_corpus(plain), load_corpus(marked)
+        assert got.entities == want.entities
+        assert got.relations == want.relations
+        assert [kg.triples for kg in got.samples] == \
+            [kg.triples for kg in want.samples]
+
+    def test_byte_order_mark_past_the_start_is_text(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        line = b'{"sample": %d, "triples": [["a", "r", "b"]]}\n'
+        path.write_bytes(line % 1 + b"\xef\xbb\xbf" + line % 2)
+        with pytest.raises(ParseError, match="line 2"):
+            load_corpus(path)
 
     def test_serialization_roundtrip_identical(self):
         corpus = load_corpus_lines(jsonl(

@@ -244,3 +244,21 @@ def test_solve_evaluates_each_load_once(monkeypatch):
 
     monkeypatch.setattr(OmissionProfile, "load", exact_load)
     assert repr(solve(link, profile, 100, keep_trace=True)) == repr(result)
+
+
+@pytest.mark.parametrize("solver", [solve, solve_simplified])
+def test_scan_ends_at_the_first_e_over_budget(monkeypatch, solver):
+    # t2(E) = 1e-6 * load(E) = 2e-6 * E s against a 49 us budget: E = 25 is
+    # the first E with no transmission time left, and no later E can fit.
+    link = LinkModel(latency_budget_s=4.9e-5)
+    profile = OmissionProfile(100, [0.5])
+    evaluated = []
+    load = OmissionProfile.load
+
+    def counting(self, e):
+        evaluated.append(e)
+        return load(self, e)
+
+    monkeypatch.setattr(OmissionProfile, "load", counting)
+    solver(link, profile, 100)
+    assert evaluated == list(range(26))

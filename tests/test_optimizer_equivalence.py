@@ -98,6 +98,45 @@ def test_random_instances_match_reference():
     assert 20 <= feasible <= 190 and omitting >= 20, (feasible, omitting)
 
 
+# The CI cap link.  The exact last breakpoint of q = [0.3651386530843237] at
+# M = 8835 is 3225.99999999999989, whose float is 3226.0.
+CAP_LINK = LinkModel.from_config({"path_gain": 1.0e-8, "tau1": 100,
+                                  "tau2": 1.0e-30, "latency_budget_ms": 1000})
+
+
+def test_last_breakpoint_just_under_an_integer_matches_reference():
+    profile = OmissionProfile(8835, [0.3651386530843237])
+    assert profile._breaks[-1] < 3226 == profile.total_omissible
+    assert_same_allocations(CAP_LINK, profile, 8835)
+    result = solve(CAP_LINK, profile, 8835, keep_trace=True)
+    assert result.e_opt == result.trace[-1][0] == 3225
+
+
+def test_scan_reads_no_cap_but_the_load(monkeypatch):
+    """Both scans are bounded by the budget test on the exact load alone:
+    with `total_omissible` and `e_caps` unreadable they still agree with
+    the reference."""
+    rng = random.Random(607)
+    cases = [random_instance(rng, case) for case in range(60)]
+    cases.append((CAP_LINK, OmissionProfile(8835, [0.3651386530843237, 0.5]),
+                  8835))
+    expected = [(repr(legacy_scan(link, profile, m, True)),
+                 repr(legacy.solve_range(link, profile, m,
+                                         simplified_cap(profile), False)))
+                for link, profile, m in cases]
+
+    def unreadable(self):
+        raise AssertionError("the scan read a float cap")
+
+    monkeypatch.setattr(OmissionProfile, "total_omissible",
+                        property(unreadable))
+    monkeypatch.setattr(OmissionProfile, "e_caps", property(unreadable))
+    got = [(repr(solve(link, profile, m, keep_trace=True)),
+            repr(solve_simplified(link, profile, m)))
+           for link, profile, m in cases]
+    assert got == expected
+
+
 def _cli_outputs(tmp_path, cfg, grid):
     """stdout of `optimize --trace` and the text of a `sweep` CSV."""
     runner = CliRunner()
